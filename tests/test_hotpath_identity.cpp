@@ -1,29 +1,39 @@
-// Byte-identity pins for the hot-path overhaul (PR 6).
+// Byte-identity pins for the simulator's hot path and its schedulers.
 //
-// The arena allocator, coalesced delivery, flat-map store internals and
-// memoized digests are pure implementation detail: they must not change a
-// single byte of any observable artifact.  These tests pin that contract
-// against golden files captured from the pre-overhaul ("seed") build:
+// Allocators, delivery coalescing, store internals, memoized digests and
+// the scheduler loops are pure implementation detail: they must not change
+// a single byte of any observable artifact.  These tests compare the
+// current build against the golden files committed under
+// tests/data/golden/:
 //
-//   tests/data/golden/<proto>.mixed.trace.jsonl   exported trace artifact
-//   tests/data/golden/workload_digests.txt        final + per-process digests
+//   <proto>.mixed.trace.jsonl           exported trace artifact
+//   workload_digests.txt                final + per-process digests
+//   <proto>.<plan>.faulted.trace.jsonl  capture_faulted artifact
+//   schedules.txt                       faulted/random workload outcomes
 //
-// If an optimization ever reorders deliveries, changes digest bytes or
-// perturbs trace serialization, these tests fail with a byte diff — before
-// any checker or Table-1 number has a chance to drift silently.
+// If a change ever reorders deliveries or fault decisions, changes digest
+// bytes or perturbs trace serialization, these tests fail with a byte diff
+// — before any checker or Table-1 number has a chance to drift silently.
 //
 // Regenerating (only legitimate when the *observable model* changes, e.g.
 // a new protocol version — never for a performance PR):
 //   DISCS_REGEN_GOLDEN=<repo>/tests/data/golden ./test_hotpath_identity
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "chaos/chaos.h"
+#include "fault/plan.h"
+#include "fault/session.h"
+#include "impossibility/progress.h"
+#include "obs/registry.h"
 #include "obs/trace_io.h"
+#include "proto/common/client.h"
 #include "proto/registry.h"
 #include "workload/workload.h"
 
@@ -86,8 +96,8 @@ void compare_or_regen(const std::string& name, const std::string& actual) {
 // The exported `mixed` scenario: interleaved writes and reads across three
 // clients — covers batching, two-round reads and gossip for every pinned
 // protocol.  The full JSONL artifact (header, events, history, footer
-// digest) must match the seed build byte for byte.
-TEST(HotpathIdentity, MixedScenarioTraceBytesMatchSeed) {
+// digest) must match the golden byte for byte.
+TEST(HotpathIdentity, MixedScenarioTraceBytesMatchGolden) {
   for (const auto& name : kPinnedProtocols) {
     auto proto = proto::protocol_by_name(name);
     proto::ClusterConfig cfg;
@@ -98,10 +108,10 @@ TEST(HotpathIdentity, MixedScenarioTraceBytesMatchSeed) {
 
 // A heavier sequential workload (more transactions, multi-writes, larger
 // cluster): the final configuration digest and every per-process digest
-// must match the seed build.  This is the strongest state check available —
+// must match the golden.  This is the strongest state check available —
 // it covers the versioned store, dedup tables, client bookkeeping and
 // network buffers of every process.
-TEST(HotpathIdentity, WorkloadDigestsMatchSeed) {
+TEST(HotpathIdentity, WorkloadDigestsMatchGolden) {
   std::ostringstream os;
   for (const auto& name : kPinnedProtocols) {
     auto proto = proto::protocol_by_name(name);
@@ -132,7 +142,7 @@ TEST(HotpathIdentity, WorkloadDigestsMatchSeed) {
 // Replay closes the loop: the golden artifact, re-imported and re-executed
 // on a fresh simulation, must re-export to its own bytes and reach the
 // recorded final digest.  This runs the *deliver/step path of the current
-// build* against the *event sequence of the seed build*, so any divergence
+// build* against the *committed event sequence*, so any divergence
 // in message ids, batching decisions or income-buffer order is caught even
 // if both builds are self-consistent.
 TEST(HotpathIdentity, GoldenTracesReplayByteExact) {
@@ -147,6 +157,142 @@ TEST(HotpathIdentity, GoldenTracesReplayByteExact) {
     EXPECT_TRUE(replay.digest_match) << name;
     EXPECT_EQ(obs::export_jsonl(replay.reexport), bytes) << name;
   }
+}
+
+// FNV-1a of a configuration digest: pins the full digest in 16 hex digits.
+std::string digest_hash(const std::string& digest) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (unsigned char c : digest) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  std::ostringstream os;
+  os << std::hex << h;
+  return os.str();
+}
+
+// A lossy network: drops with retransmission, extra delay, duplicates.
+fault::FaultPlan lossy_plan() {
+  fault::FaultPlan plan;
+  plan.name = "lossy";
+  plan.seed = 3;
+  plan.rules.push_back(fault::drop_rule(0.35, 4));
+  plan.rules.push_back(fault::delay_rule(1, 0.4));
+  plan.rules.push_back(fault::duplicate_rule(0.25));
+  return plan;
+}
+
+// A server->server hold window, a lossy crash and restart, and drops.
+fault::FaultPlan hold_crash_plan() {
+  fault::FaultPlan plan;
+  plan.name = "hold-crash";
+  plan.seed = 5;
+  plan.rules.push_back(fault::hold_rule(fault::Selector::server(),
+                                        fault::Selector::server(), 0, 40));
+  plan.rules.push_back(
+      fault::crash_rule(ProcessId(1), 12, 60, /*lossy=*/true));
+  plan.rules.push_back(fault::drop_rule(0.3, 5));
+  return plan;
+}
+
+// Cross-build pins for the faulted and randomized schedulers.  Running the
+// same build twice always agrees (FaultDeterminism.*); these goldens pin the
+// schedules themselves, so a scheduler change that moves one delivery, one
+// fault decision or one rng draw fails here:
+//   - capture_faulted artifacts (the fair loop under a fault session);
+//   - run_workload_concurrent_faulted at chaos_lab's hardened defaults (the
+//     random loop under a fault session) over a few chaos plans, plus the
+//     hold-crash plan, whose early crash fires within the run: final
+//     digest, trace size, transaction windows and the fault.* counters;
+//   - run_workload_concurrent (the random loop without faults);
+//   - audit_progress outcomes under the paper's delay adversary and a
+//     lossy network.
+TEST(HotpathIdentity, FaultedAndRandomSchedulesMatchGolden) {
+  for (const std::string name : {"cops-snow", "wren"}) {
+    auto proto = proto::protocol_by_name(name);
+    for (const auto& plan : {lossy_plan(), hold_crash_plan()}) {
+      obs::FaultedCaptureOptions options;
+      options.plan = plan;
+      obs::TraceDoc doc = obs::capture_faulted(*proto, options);
+      compare_or_regen(name + "." + plan.name + ".faulted.trace.jsonl",
+                       obs::export_jsonl(doc));
+    }
+  }
+
+  std::ostringstream os;
+  chaos::CampaignConfig chaos_cfg;
+  chaos_cfg.cluster.exactly_once = true;
+  chaos_cfg.cluster.durable_journal = true;
+  chaos_cfg.workload.num_txs = 24;
+  const std::vector<std::string> counters = {
+      "fault.drops", "fault.delays", "fault.duplicates", "fault.holds",
+      "fault.retransmits", "fault.crashes", "fault.restarts"};
+  std::vector<fault::FaultPlan> plans;
+  for (std::size_t i = 0; i < 6; ++i)
+    plans.push_back(chaos::random_plan(3, i, chaos_cfg.cluster));
+  plans.push_back(hold_crash_plan());
+  for (const std::string name : {"cops", "wren"}) {
+    auto proto = proto::protocol_by_name(name);
+    for (const auto& plan : plans) {
+      sim::Simulation sim;
+      proto::IdSource ids;
+      auto cluster = proto->build(sim, chaos_cfg.cluster, ids);
+      for (auto c : cluster.clients)
+        sim.process_as<proto::ClientBase>(c).set_retransmit_after(
+            chaos_cfg.client_retransmit_after);
+      fault::FaultSession session(plan,
+                                  {cluster.view.servers, cluster.clients});
+      std::vector<std::uint64_t> before;
+      for (const auto& c : counters)
+        before.push_back(obs::Registry::global().value(c));
+      auto result = wl::run_workload_concurrent_faulted(
+          sim, *proto, cluster, ids, chaos_cfg.workload, session);
+
+      os << "== faulted " << name << " " << plan.name << " ==\n";
+      os << "digest: " << digest_hash(sim.digest())
+         << " trace_events: " << sim.trace().size()
+         << " incomplete: " << result.incomplete << "\n";
+      for (std::size_t k = 0; k < counters.size(); ++k)
+        os << counters[k] << "="
+           << obs::Registry::global().value(counters[k]) - before[k] << " ";
+      os << "\n";
+      for (const auto& w : result.windows)
+        os << to_string(w.id) << " " << to_string(w.client) << " "
+           << w.trace_begin << ".." << w.trace_end
+           << (w.completed ? " done" : " open") << "\n";
+    }
+  }
+
+  for (const auto& name : kPinnedProtocols) {
+    auto proto = proto::protocol_by_name(name);
+    sim::Simulation sim;
+    proto::ClusterConfig cfg;
+    cfg.num_servers = 3;
+    cfg.num_clients = 4;
+    cfg.num_objects = 6;
+    proto::IdSource ids;
+    auto cluster = proto->build(sim, cfg, ids);
+    wl::WorkloadConfig wcfg;
+    wcfg.num_txs = 40;
+    wcfg.write_fraction = 0.4;
+    wcfg.seed = 2026;
+    auto result = wl::run_workload_concurrent(sim, *proto, cluster, ids, wcfg);
+    os << "== concurrent " << name << " ==\n";
+    os << "digest: " << digest_hash(sim.digest())
+       << " trace_events: " << sim.trace().size()
+       << " incomplete: " << result.incomplete << "\n";
+  }
+
+  for (const auto& plan : {fault::paper_delay_adversary(),
+                           fault::drop_retransmit_plan(0.3, 6)}) {
+    for (const std::string name : {"cops", "cops-snow", "gentlerain", "wren"}) {
+      auto proto = proto::protocol_by_name(name);
+      auto report = imposs::audit_progress(*proto, plan);
+      os << "progress " << name << " " << report.plan << ": " << report.detail
+         << "\n";
+    }
+  }
+  compare_or_regen("schedules.txt", os.str());
 }
 
 // Snapshot/branching still shares state after the overhaul: a snapshot taken
