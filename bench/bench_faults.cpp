@@ -3,8 +3,9 @@
 // plan delays thousands of messages into a long in-flight backlog.
 //
 //   BM_WorkloadBaseline      the unfaulted concurrent workload driver
-//   BM_WorkloadEmptyPlan     same traffic through the fault engine with a
-//                            rule-free plan — pure engine overhead
+//   BM_WorkloadEmptyPlan     same traffic through the faulted driver with a
+//                            rule-free plan, which can never fire and so
+//                            runs the fault-free loop: pins that it is free
 //   BM_WorkloadLossyPlan     drop 20% + retransmit: the engine actually
 //                            working
 //   BM_BacklogDeliver        deliver N backlogged messages by id (O(1) per

@@ -44,8 +44,8 @@ bool FaultSession::link_blocked(sim::ProcessId src, sim::ProcessId dst,
   return false;
 }
 
-const FaultSession::Fate& FaultSession::fate_of(const sim::Message& m,
-                                                std::uint64_t now) {
+FaultSession::Fate& FaultSession::fate_of(const sim::Message& m,
+                                          std::uint64_t now) {
   auto it = fates_.find(m.id.value());
   if (it != fates_.end()) return it->second;
 
@@ -134,22 +134,20 @@ std::size_t FaultSession::tick(sim::Simulation& sim) {
   return applied;
 }
 
-std::vector<sim::Message> FaultSession::deliverable_now(sim::Simulation& sim) {
+void FaultSession::deliverable(sim::Simulation& sim,
+                               const sim::ParticipantSet& within,
+                               std::vector<sim::MsgId>& out) {
   const std::uint64_t now = sim.now();
-
-  // Fate assignment mutates flight (drops); collect first.
-  std::vector<sim::Message> flight(sim.network().in_flight().begin(),
-                                   sim.network().in_flight().end());
-  std::vector<sim::Message> out;
-  out.reserve(flight.size());
-  for (const auto& m : flight) {
-    const Fate fate = fate_of(m, now);  // copy: dropping may rehash fates_
+  const sim::FlightList& flight = sim.network().in_flight();
+  for (auto it = flight.begin(); it != flight.end();) {
+    const sim::Message& m = *it++;  // a drop erases m's node: step past it
+    Fate& fate = fate_of(m, now);
     if (fate.drop) {
-      if (sim.drop(m.id)) {
+      const sim::MsgId id = m.id;
+      if (sim.drop(id)) {
         obs::Registry::global().inc("fault.drops");
         if (fate.retransmit_after > 0) {
-          auto entry = std::make_pair(now + fate.retransmit_after,
-                                      m.id.value());
+          auto entry = std::make_pair(now + fate.retransmit_after, id.value());
           retransmit_queue_.insert(
               std::upper_bound(retransmit_queue_.begin(),
                                retransmit_queue_.end(), entry),
@@ -167,11 +165,10 @@ std::vector<sim::Message> FaultSession::deliverable_now(sim::Simulation& sim) {
     if (fate.duplicate) {
       if (sim.duplicate(m.id))
         obs::Registry::global().inc("fault.duplicates");
-      fates_[m.id.value()].duplicate = false;
+      fate.duplicate = false;
     }
-    out.push_back(m);
+    if (within.admits(m)) out.push_back(m.id);
   }
-  return out;
 }
 
 bool FaultSession::has_pending() const {
@@ -191,125 +188,21 @@ sim::RunStats run_fair_faulted(sim::Simulation& sim, FaultSession& session,
                                const sim::StopCondition& stop,
                                std::size_t budget,
                                std::size_t max_idle_rounds) {
-  std::vector<sim::ProcessId> parts =
-      participants.empty() ? sim::all_processes(sim) : participants;
-  sim::RunStats stats;
-
-  auto within = [&](sim::ProcessId p) {
-    for (auto q : parts)
-      if (q == p) return true;
-    return false;
-  };
-
-  std::size_t idle_rounds = 0;
-  std::size_t dead_rounds = 0;  // rounds in which no event applied at all
-  while (stats.events() < budget) {
-    if (stop && stop(sim)) {
-      stats.stopped_by_condition = true;
-      return stats;
-    }
-    const std::size_t events_before = stats.events();
-    bool progressed = session.tick(sim) > 0;
-
-    for (const auto& m : session.deliverable_now(sim)) {
-      if (!within(m.src) || !within(m.dst)) continue;
-      if (stats.events() >= budget) return stats;
-      if (sim.deliver(m.id)) {
-        ++stats.deliveries;
-        progressed = true;
-        if (stop && stop(sim)) {
-          stats.stopped_by_condition = true;
-          return stats;
-        }
-      }
-    }
-
-    for (auto p : parts) {
-      if (stats.events() >= budget) return stats;
-      bool had_income = !sim.network().income_of(p).empty();
-      std::size_t sent_before = sim.network().in_flight_count();
-      if (!sim.step(p)) continue;  // crashed
-      ++stats.steps;
-      if (had_income || sim.network().in_flight_count() != sent_before)
-        progressed = true;
-      if (stop && stop(sim)) {
-        stats.stopped_by_condition = true;
-        return stats;
-      }
-    }
-
-    if (stats.events() == events_before) {
-      // Nothing could even be applied (every participant crashed): time
-      // cannot advance, so pending work will never become due.
-      if (++dead_rounds > 2) return stats;
-      continue;
-    }
-    dead_rounds = 0;
-
-    if (progressed) {
-      idle_rounds = 0;
-    } else if (++idle_rounds > max_idle_rounds && !session.has_pending()) {
-      return stats;
-    }
-  }
-  return stats;
+  auto until = [&](const sim::Simulation& s) { return stop && stop(s); };
+  if (session.plan().rules.empty())
+    return sim::run_fair_with(sim, participants, until, budget,
+                              max_idle_rounds);
+  return sim::run_fair_with(sim, participants, until, budget, max_idle_rounds,
+                            session);
 }
 
 sim::RunStats run_random_faulted(sim::Simulation& sim, FaultSession& session,
                                  const std::vector<sim::ProcessId>& participants,
                                  Rng& rng, const sim::StopCondition& stop,
                                  std::size_t budget) {
-  std::vector<sim::ProcessId> parts =
-      participants.empty() ? sim::all_processes(sim) : participants;
-  sim::RunStats stats;
-
-  auto within = [&](sim::ProcessId p) {
-    for (auto q : parts)
-      if (q == p) return true;
-    return false;
-  };
-
-  std::size_t idle_rounds = 0;
-  std::size_t dead_iters = 0;
-  while (stats.events() < budget) {
-    if (stop && stop(sim)) {
-      stats.stopped_by_condition = true;
-      return stats;
-    }
-    session.tick(sim);
-
-    std::vector<sim::MsgId> deliverable;
-    for (const auto& m : session.deliverable_now(sim))
-      if (within(m.src) && within(m.dst)) deliverable.push_back(m.id);
-
-    bool do_deliver = !deliverable.empty() && rng.chance(0.7);
-    if (do_deliver) {
-      sim::MsgId id = deliverable[rng.pick_index(deliverable.size())];
-      if (sim.deliver(id)) ++stats.deliveries;
-      idle_rounds = 0;
-      dead_iters = 0;
-    } else {
-      sim::ProcessId p = parts[rng.pick_index(parts.size())];
-      bool had_income = !sim.network().income_of(p).empty();
-      std::size_t before = sim.network().in_flight_count();
-      if (!sim.step(p)) {
-        // Crashed pick: no event applied.  If this keeps happening nothing
-        // can advance virtual time, so give up eventually.
-        if (++dead_iters > 64 * parts.size()) return stats;
-        continue;
-      }
-      dead_iters = 0;
-      ++stats.steps;
-      if (!had_income && sim.network().in_flight_count() == before &&
-          deliverable.empty()) {
-        if (++idle_rounds > 32 * parts.size() && !session.has_pending())
-          return stats;
-      } else {
-        idle_rounds = 0;
-      }
-    }
-  }
-  return stats;
+  if (session.plan().rules.empty())
+    return sim::run_random(sim, participants, rng, stop, budget);
+  return sim::run_random(sim, participants, rng, stop, budget, session);
 }
 
 }  // namespace discs::fault

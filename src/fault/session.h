@@ -1,13 +1,15 @@
 // The fault engine: executes a FaultPlan against a Simulation.
 //
-// A FaultSession sits between a scheduler and the simulation and plays the
-// programmable adversary.  Each round the scheduler
-//   1. calls tick()            — due crashes, restarts and retransmits fire;
-//   2. calls deliverable_now() — every in-flight message gets a *fate* the
+// A FaultSession plays the programmable adversary as the hook of the
+// schedulers in sim/schedule.h (the same three members as sim::NoFaults).
+// Each round the scheduler
+//   1. calls tick()        — due crashes, restarts and retransmits fire;
+//   2. calls deliverable() — every in-flight message gets a *fate* the
 //      first time the session sees it (drawn from the plan's seeded RNG and
-//      memoized by MsgId), drop fates are applied, and the messages whose
-//      delay has elapsed and whose link is not partitioned are returned;
-//   3. delivers (a subset of) the returned messages and steps processes.
+//      memoized by MsgId), drop fates are applied, and the ids of the
+//      messages whose delay has elapsed and whose link is not partitioned
+//      are appended to the scheduler's list;
+//   3. delivers (a subset of) those messages and steps processes.
 //
 // Determinism: fates are drawn in first-sight order, which is the send
 // order of the in-flight list, itself a deterministic function of the
@@ -49,12 +51,15 @@ class FaultSession {
   /// number of fault events applied.
   std::size_t tick(sim::Simulation& sim);
 
-  /// Assigns fates to newly seen in-flight messages (applying drop fates
-  /// and scheduling their retransmissions), then returns the messages that
+  /// Walks the in-flight list in send order, assigning fates to newly seen
+  /// messages (applying drop fates and scheduling their retransmissions),
+  /// and appends to `out` the ids of the messages between participants that
   /// may be delivered now: not dropped, not still delayed, not crossing an
-  /// active partition/hold, destination not crashed.  Duplicate fates fire
-  /// here, when the message is first released.
-  std::vector<sim::Message> deliverable_now(sim::Simulation& sim);
+  /// active partition/hold, destination not crashed.  Every message gets
+  /// its fate, participant or not.  Duplicate fates fire here, when the
+  /// message is first released.
+  void deliverable(sim::Simulation& sim, const sim::ParticipantSet& within,
+                   std::vector<sim::MsgId>& out);
 
   /// True while the session still has work that will become due as virtual
   /// time advances: queued retransmissions, crash rules not yet fired, or
@@ -74,7 +79,7 @@ class FaultSession {
     bool duplicate = false;              // fire one duplicate on release
   };
 
-  const Fate& fate_of(const sim::Message& m, std::uint64_t now);
+  Fate& fate_of(const sim::Message& m, std::uint64_t now);
 
   FaultPlan plan_;
   FaultTopology topo_;
@@ -89,21 +94,23 @@ class FaultSession {
   std::vector<CrashProgress> crash_progress_;  // parallel to crash rules
 };
 
-/// run_fair with the fault engine in the loop (see sim::run_fair): each
-/// round ticks the session, delivers the deliverable messages between
-/// participants and steps every live participant.  Idle rounds do not end
-/// the run while the session has pending work (a retransmission or restart
-/// that only becomes due as idle steps advance virtual time).
+/// sim::run_fair with `session` as the adversary hook: each round ticks the
+/// session, delivers the messages it releases between participants and
+/// steps every live participant.  Idle rounds do not end the run while the
+/// session has pending work (a retransmission or restart that only becomes
+/// due as idle steps advance virtual time).  A plan without rules can never
+/// fire, so it runs the plain loop.
 sim::RunStats run_fair_faulted(sim::Simulation& sim, FaultSession& session,
                                const std::vector<sim::ProcessId>& participants,
                                const sim::StopCondition& stop,
                                std::size_t budget = 100000,
                                std::size_t max_idle_rounds = 128);
 
-/// run_random with the fault engine in the loop (see sim::run_random).
-/// Scheduling randomness comes from `rng`; fault randomness stays inside
-/// the session (seeded by the plan), so the same (plan, seed) pair makes
-/// the same fault decisions under any scheduler seed.
+/// sim::run_random with `session` as the adversary hook (the plain loop for
+/// a plan without rules).  Scheduling randomness comes from `rng`; fault
+/// randomness stays inside the session (seeded by the plan), so the same
+/// (plan, seed) pair makes the same fault decisions under any scheduler
+/// seed.
 sim::RunStats run_random_faulted(sim::Simulation& sim, FaultSession& session,
                                  const std::vector<sim::ProcessId>& participants,
                                  Rng& rng, const sim::StopCondition& stop,

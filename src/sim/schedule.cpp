@@ -1,10 +1,6 @@
 #include "sim/schedule.h"
 
-#include "obs/phase.h"
-
 namespace discs::sim {
-
-using detail::ParticipantSet;
 
 std::vector<ProcessId> all_processes(const Simulation& sim) {
   std::vector<ProcessId> out;
@@ -33,90 +29,6 @@ RunStats run_to_quiescence(Simulation& sim,
                            const std::vector<ProcessId>& participants,
                            std::size_t budget) {
   return run_fair(sim, participants, nullptr, budget, 32);
-}
-
-RunStats run_random(Simulation& sim,
-                    const std::vector<ProcessId>& participants, Rng& rng,
-                    const StopCondition& stop, std::size_t budget) {
-  std::vector<ProcessId> all;
-  if (participants.empty()) all = all_processes(sim);
-  const std::vector<ProcessId>& parts = participants.empty() ? all
-                                                             : participants;
-  RunStats stats;
-  ParticipantSet within(parts, sim.process_count());
-
-  // Incrementally-maintained deliverable index.  The old implementation
-  // rescanned the whole in-flight list every round (O(backlog) per event,
-  // quadratic over a run that keeps a deep backlog —
-  // BM_RandomSchedulerBacklog measures it); nothing in this loop mutates
-  // the in-flight set except our own delivery and the tail push_backs of
-  // a step, so the set can be kept current incrementally: erase the
-  // delivered entry in place, scan only the messages a step appended.
-  // Removal is an order-preserving erase at the picked index (not a
-  // swap-pop): the vector then mirrors the in-flight list order the old
-  // per-round rescan produced, so the rng draw sequence — and therefore
-  // every randomized schedule and audit outcome — is unchanged.  The
-  // participant filter is applied once, at insertion.
-  std::vector<MsgId> deliverable;
-  auto add = [&](const Message& m) {
-    if (within.contains(m.src) && within.contains(m.dst))
-      deliverable.push_back(m.id);
-  };
-  {
-    obs::PhaseScope ps(obs::Phase::kScheduler);
-    for (const auto& m : sim.network().in_flight()) add(m);
-  }
-
-  std::size_t idle_rounds = 0;
-  while (stats.events() < budget) {
-    if (stop && stop(sim)) {
-      stats.stopped_by_condition = true;
-      return stats;
-    }
-
-    // Bias toward delivery so protocols with background traffic cannot
-    // outpace the network indefinitely; step events still occur often
-    // enough to drive all local state machines.
-    bool do_deliver = !deliverable.empty() && rng.chance(0.7);
-    if (do_deliver) {
-      const std::size_t idx = rng.pick_index(deliverable.size());
-      if (sim.deliver(deliverable[idx])) ++stats.deliveries;
-      // Delivered — or vanished from flight, which the old per-round
-      // rescan would equally have forgotten.  Either way: out of the set.
-      deliverable.erase(deliverable.begin() +
-                        static_cast<std::ptrdiff_t>(idx));
-      idle_rounds = 0;
-    } else {
-      const bool none_deliverable = deliverable.empty();
-      ProcessId p = parts[rng.pick_index(parts.size())];
-      bool had_income = sim.network().has_income(p);
-      std::size_t before = sim.network().in_flight_count();
-      const FlightList& fl = sim.network().in_flight();
-      // Steps only push_back onto the in-flight list (std::list: stable
-      // iterators, no reallocation), so the pre-step last element anchors
-      // a tail scan of exactly the new sends.
-      FlightList::const_iterator anchor = fl.empty() ? fl.end()
-                                                     : std::prev(fl.end());
-      const bool was_empty = fl.empty();
-      sim.step(p);
-      ++stats.steps;
-      {
-        obs::PhaseScope ps(obs::Phase::kScheduler);
-        for (auto it = was_empty ? fl.begin() : std::next(anchor);
-             it != fl.end(); ++it)
-          add(*it);
-      }
-      if (!had_income && sim.network().in_flight_count() == before &&
-          none_deliverable) {
-        // Generous idle allowance: deferred work (commit-wait, GST
-        // catch-up) wakes up as idle steps advance virtual time.
-        if (++idle_rounds > 32 * parts.size()) return stats;
-      } else {
-        idle_rounds = 0;
-      }
-    }
-  }
-  return stats;
 }
 
 }  // namespace discs::sim

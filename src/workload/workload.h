@@ -77,9 +77,10 @@ WorkloadResult run_workload_concurrent(sim::Simulation& sim,
                                        const WorkloadConfig& cfg);
 
 /// run_workload_concurrent with a fault plan in the loop: scheduling goes
-/// through fault::run_random_faulted, so messages are dropped, delayed,
-/// duplicated and partitioned per `session`'s plan while clients run.  The
-/// fault fuzz tests point the consistency checkers at the result.
+/// through fault::run_random_faulted (sim::run_random with `session` as its
+/// adversary hook), so messages are dropped, delayed, duplicated and
+/// partitioned per `session`'s plan while clients run.  The fault fuzz
+/// tests point the consistency checkers at the result.
 WorkloadResult run_workload_concurrent_faulted(sim::Simulation& sim,
                                                const Protocol& proto,
                                                const Cluster& cluster,

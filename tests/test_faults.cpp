@@ -203,6 +203,22 @@ TEST(CrashRestart, RecoveringCrashKeepsTheWrite) {
   EXPECT_EQ(got.at(obj), written);
 }
 
+TEST(CrashRestart, SchedulersCountOnlyAppliedEvents) {
+  // A step refused to a crashed process is not an event: each scheduler's
+  // event count must equal the virtual time it advanced.
+  for (bool random : {false, true}) {
+    BuiltCluster b = build("cops");
+    ASSERT_TRUE(b.sim.crash(b.cluster.view.servers[0], /*lossy=*/false));
+    const std::uint64_t start = b.sim.now();
+    Rng rng(1);
+    sim::RunStats stats = random ? sim::run_random(b.sim, {}, rng, nullptr, 500)
+                                 : sim::run_fair(b.sim, {}, nullptr, 500);
+    EXPECT_GT(stats.events(), 0u);
+    EXPECT_EQ(stats.events(), b.sim.now() - start)
+        << (random ? "run_random" : "run_fair");
+  }
+}
+
 // --- determinism -----------------------------------------------------------
 
 obs::TraceDoc capture_once(const std::string& proto_name,
