@@ -5,9 +5,9 @@
 // kinds) and small enough to attach to a chaos counterexample or write from
 // a crashing process.  Three producers share this vocabulary:
 //
-//   - the rt engine keeps one obs::Ring<FlightEvent> per engine thread and
-//     reports their merged tails in RunReport::flight (always on wall-budget
-//     timeout, on request otherwise);
+//   - the rt engine keeps one obs::Ring<FlightEvent> per engine thread, fed
+//     flight_from of every record in each step's batch, and reports their
+//     merged tails in RunReport::flight (rt::Options::flight_capacity);
 //   - chaos::run_once snapshots the simulator trace tail when a checker
 //     reports a violation, so every shrunk discs.chaosrepro.v1 spec carries
 //     the last events before the failure (`flight` field, optional — specs

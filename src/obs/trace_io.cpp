@@ -96,14 +96,6 @@ ExportedEvent export_event_record(const sim::EventRecord& rec, bool spans,
   return e;
 }
 
-bool export_event_records(std::span<const sim::EventRecord> records,
-                          bool spans, TraceDoc& doc) {
-  bool any_fault = false;
-  for (const auto& rec : records)
-    doc.events.push_back(export_event_record(rec, spans, any_fault));
-  return any_fault;
-}
-
 TraceDoc make_doc(const proto::Protocol& protocol, std::string scenario,
                   const ClusterConfig& cfg, const sim::Simulation& sim,
                   const Cluster& cluster, std::vector<InvokeRecord> invokes) {
@@ -115,7 +107,9 @@ TraceDoc make_doc(const proto::Protocol& protocol, std::string scenario,
   doc.invokes = std::move(invokes);
   sort_invokes(doc.invokes);
   const bool spans = cfg.record_spans;
-  bool any_fault = export_event_records(sim.trace().records(), spans, doc);
+  bool any_fault = false;
+  for (const auto& rec : sim.trace().records())
+    doc.events.push_back(export_event_record(rec, spans, any_fault));
   // Fault-free documents keep the v1 header so their bytes are identical to
   // what a v1 exporter wrote (see trace_io.h).
   doc.schema = any_fault ? std::string(kTraceSchemaV2)

@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -123,20 +122,12 @@ TraceDoc make_doc(const proto::Protocol& protocol, std::string scenario,
                   const proto::Cluster& cluster,
                   std::vector<InvokeRecord> invokes);
 
-/// Appends `records` to doc.events (one ExportedEvent per record, message
-/// metadata included; cause annotations when `spans`).  Returns true when
-/// any fault event was seen — the exporter's v1-vs-v2 schema decision.
-/// Shared by make_doc and the rt backend's capture path, which assembles
-/// its EventRecords from per-thread sinks instead of a sim::Trace; one
+/// The one record exporter: converts one live record (message metadata
+/// included; cause annotations when `spans`) and ORs the v1-vs-v2 schema
+/// decision into `fault` (true once any fault event was seen).  make_doc
+/// applies it to a simulator trace; obs::TraceSink (obs/trace_stream.h)
+/// applies it to each record the rt backend's frontier merge appends.  One
 /// exporter means the two backends cannot drift.
-bool export_event_records(std::span<const sim::EventRecord> records,
-                          bool spans, TraceDoc& doc);
-
-/// The per-record unit of export_event_records: converts one live record
-/// (message metadata included; cause annotations when `spans`) and ORs the
-/// schema decision into `fault`.  The streaming writer
-/// (obs/trace_stream.h) converts records one at a time as the merge
-/// frontier advances instead of over a complete span.
 ExportedEvent export_event_record(const sim::EventRecord& rec, bool spans,
                                   bool& fault);
 

@@ -7,57 +7,64 @@
 
 namespace discs::obs {
 
-TraceStreamWriter::TraceStreamWriter(std::string path)
-    : path_(std::move(path)), spool_path_(path_ + ".spool") {
+TraceSink::TraceSink(bool keep_events, std::string path)
+    : keep_(keep_events), path_(std::move(path)) {
+  if (path_.empty()) return;
+  spool_path_ = path_ + ".spool";
   spool_.open(spool_path_, std::ios::binary | std::ios::trunc);
   DISCS_CHECK_MSG(spool_.is_open(),
-                  "trace stream: cannot open spool '" << spool_path_ << "'");
+                  "trace sink: cannot open spool '" << spool_path_ << "'");
 }
 
-TraceStreamWriter::~TraceStreamWriter() {
-  if (!finished_) {
+TraceSink::~TraceSink() {
+  if (!finished_ && !spool_path_.empty()) {
     spool_.close();
     std::remove(spool_path_.c_str());
   }
 }
 
-void TraceStreamWriter::append(const sim::EventRecord& rec) {
-  DISCS_CHECK_MSG(!finished_, "trace stream: append after finish");
+void TraceSink::append(const sim::EventRecord& rec) {
+  DISCS_CHECK_MSG(!finished_, "trace sink: append after finish");
   DISCS_CHECK_MSG(rec.seq == events_,
-                  "trace stream: out-of-order record (seq " << rec.seq
-                                                            << ", expected "
-                                                            << events_ << ")");
+                  "trace sink: out-of-order record (seq " << rec.seq
+                                                          << ", expected "
+                                                          << events_ << ")");
   ExportedEvent e = export_event_record(rec, /*spans=*/false, any_fault_);
-  spool_ << event_line(e) << '\n';
-  // Flush per record: the spool's reason to exist is that it is complete
-  // up to the frontier while the run is alive (tail -f, post-mortem).
-  spool_.flush();
+  if (spool_.is_open()) {
+    spool_ << event_line(e) << '\n';
+    // Flush per record: the spool's reason to exist is that it is complete
+    // up to the frontier while the run is alive (tail -f, post-mortem).
+    spool_.flush();
+  }
+  if (keep_) kept_.push_back(std::move(e));
   ++events_;
 }
 
-void TraceStreamWriter::finish(TraceDoc doc) {
-  DISCS_CHECK_MSG(!finished_, "trace stream: finish called twice");
+TraceDoc TraceSink::finish(TraceDoc doc) {
+  DISCS_CHECK_MSG(!finished_, "trace sink: finish called twice");
   finished_ = true;
-  spool_.close();
-
   doc.schema = any_fault_ ? std::string(kTraceSchemaV2)
                           : std::string(kTraceSchema);
+  doc.events = std::move(kept_);
+  if (spool_path_.empty()) return doc;
+
+  spool_.close();
   std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-  DISCS_CHECK_MSG(out.is_open(),
-                  "trace stream: cannot open '" << path_ << "'");
+  DISCS_CHECK_MSG(out.is_open(), "trace sink: cannot open '" << path_ << "'");
   out << export_prefix_jsonl(doc);
   {
     std::ifstream in(spool_path_, std::ios::binary);
     DISCS_CHECK_MSG(in.is_open(),
-                    "trace stream: spool vanished '" << spool_path_ << "'");
+                    "trace sink: spool vanished '" << spool_path_ << "'");
     char buf[1 << 16];
     while (in.read(buf, sizeof(buf)) || in.gcount() > 0)
       out.write(buf, in.gcount());
   }
   out << export_suffix_jsonl(doc, events_);
   out.flush();
-  DISCS_CHECK_MSG(out.good(), "trace stream: write failed '" << path_ << "'");
+  DISCS_CHECK_MSG(out.good(), "trace sink: write failed '" << path_ << "'");
   std::remove(spool_path_.c_str());
+  return doc;
 }
 
 }  // namespace discs::obs

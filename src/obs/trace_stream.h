@@ -1,47 +1,54 @@
-// Streaming trace writer — incremental discs.trace.v2 export with the
-// batch exporter's exact bytes.
+// Trace sink — the one place where a captured execution's event records
+// become artifact events: kept in memory, streamed to a file, or both.
 //
-// The finalize-only capture path buffers every EventRecord until the run
-// ends.  This writer instead accepts records one at a time, in seq order,
-// as a merge frontier advances (rt's streaming merger, or any single
-// producer), and keeps memory bounded by what is NOT yet expressible
-// incrementally:
+// A producer appends records one at a time, in seq order (rt's frontier
+// merge, or any single producer).  The sink exports each record exactly
+// once (obs::export_event_record) and then
 //
-//   - each appended record is serialized immediately (obs::event_line) and
-//     flushed to a side "spool" file `<path>.spool` — raw event JSONL you
-//     can tail while the run is alive;
-//   - finish() assembles the canonical artifact at `path`: header +
-//     invokes (export_prefix_jsonl) + the spooled event lines + history +
-//     footer (export_suffix_jsonl), then removes the spool.
+//   - keeps the ExportedEvent when it keeps events (the memory sink behind
+//     rt::Options::capture), and/or
+//   - when it has a path, serializes the event (obs::event_line) and flushes
+//     it to a side "spool" file `<path>.spool` — raw event JSONL you can
+//     tail while the run is alive (the file sink behind
+//     rt::Options::stream_path).
+//
+// finish() completes the caller's TraceDoc: it sets the schema, moves the
+// kept events in, and for a file sink assembles the canonical artifact at
+// `path` — header + invokes (export_prefix_jsonl) + the spooled event lines
+// + history + footer (export_suffix_jsonl) — then removes the spool.
 //
 // The header's v1-vs-v2 schema decision is retroactive — it depends on
-// whether any fault event ever streamed — which is exactly why the
+// whether any fault event was ever appended — which is exactly why the
 // artifact cannot be written front-to-back live and the spool exists.
 // Because prefix/event/suffix serialization is shared with export_jsonl,
-// the assembled file is byte-identical to export_jsonl of the equivalent
-// fully-buffered TraceDoc; tests/test_rt.cpp pins this per protocol.
+// the assembled file is byte-identical to export_jsonl of the document a
+// memory sink returns for the same records; tests/test_obs.cpp pins this
+// for the sink alone and tests/test_rt.cpp per protocol on rt.
 //
-// Not thread-safe: one writer, one appending thread (rt's merger thread).
+// Not thread-safe: one sink, one appending thread at a time.
 #pragma once
 
 #include <cstdint>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "obs/trace_io.h"
 
 namespace discs::obs {
 
-class TraceStreamWriter {
+class TraceSink {
  public:
-  /// Opens `<path>.spool` for the live event stream; throws CheckFailure
-  /// if the spool cannot be created.
-  explicit TraceStreamWriter(std::string path);
+  /// `keep_events`: finish() returns the exported events in doc.events.
+  /// Non-empty `path`: spool to `<path>.spool` as records arrive and write
+  /// the artifact at `path` in finish(); throws CheckFailure if the spool
+  /// cannot be created.
+  TraceSink(bool keep_events, std::string path);
   /// Removes the spool if finish() was never reached (abandoned run).
-  ~TraceStreamWriter();
+  ~TraceSink();
 
-  TraceStreamWriter(const TraceStreamWriter&) = delete;
-  TraceStreamWriter& operator=(const TraceStreamWriter&) = delete;
+  TraceSink(const TraceSink&) = delete;
+  TraceSink& operator=(const TraceSink&) = delete;
 
   /// Appends one record.  Records must arrive in seq order with no gaps —
   /// rec.seq == events() — which is what a frontier merge produces by
@@ -50,21 +57,20 @@ class TraceStreamWriter {
 
   /// Records appended so far == the next expected seq.
   std::uint64_t events() const { return events_; }
-  /// True once any fault event streamed — the v1-vs-v2 schema decision.
-  bool any_fault() const { return any_fault_; }
-  const std::string& path() const { return path_; }
 
-  /// Assembles the final artifact at path() from the spooled event lines
-  /// plus everything else in `doc` — whose `events` vector is ignored (the
-  /// spool is the event stream) and whose `schema` is overwritten with
-  /// this stream's v1/v2 decision.  Removes the spool.  Call exactly once,
-  /// after the last append.
-  void finish(TraceDoc doc);
+  /// Completes `doc` — everything but its events and schema — with this
+  /// sink's events (the kept ones; none without keep_events) and its v1/v2
+  /// schema decision, writes the artifact when the sink has a path, and
+  /// returns it.  Removes the spool.  Call exactly once, after the last
+  /// append.
+  TraceDoc finish(TraceDoc doc);
 
  private:
+  bool keep_;
   std::string path_;
-  std::string spool_path_;
+  std::string spool_path_;  ///< empty for a memory-only sink
   std::ofstream spool_;
+  std::vector<ExportedEvent> kept_;
   std::uint64_t events_ = 0;
   bool any_fault_ = false;
   bool finished_ = false;

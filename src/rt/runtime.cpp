@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <fstream>
 #include <memory>
 #include <mutex>
@@ -55,6 +54,22 @@ std::uint64_t& counter_sent() {
   return c;
 }
 
+/// Bound on queued messages per inbox; producers backpressure when full.
+constexpr std::size_t kInboxCapacity = 4096;
+/// Wall-clock microseconds per client retransmit-ladder tick.  Only
+/// meaningful when ClusterConfig::client_retransmit_after armed the
+/// ladder; each elapsed period feeds the ladder one stalled step.
+constexpr std::uint64_t kRetransmitTickUs = 200;
+/// Parked worker idle-tick period: a worker whose inboxes stay empty
+/// this long steps its servers once anyway (empty-inbox steps drive
+/// time-based deferred work: commit-wait, gossip stabilization).
+constexpr std::uint64_t kIdleTickUs = 200;
+/// Parked submitter re-check period when the ladder is off.
+constexpr std::uint64_t kSubmitterTickUs = 500;
+/// Real-wall-clock budget for the whole run; exceeded => RunReport
+/// timed_out and remaining transactions counted incomplete.
+constexpr std::uint64_t kWallBudgetMs = 30000;
+
 /// One rt process: the protocol object plus its mailbox and scratch
 /// buffers.  Only the owning engine thread (its worker, or its submitter
 /// for clients) ever steps it; any thread pushes into the inbox.
@@ -70,21 +85,21 @@ struct Station {
   std::vector<ProcessId> dst_scratch;
 };
 
-/// Per-engine-thread capture sink; merged by sequence number at finalize.
+/// Per-engine-thread capture inputs that are not events; merged at
+/// finalize.
 struct ThreadSink {
-  std::vector<sim::EventRecord> events;
   std::vector<obs::InvokeRecord> invokes;
   std::vector<std::uint64_t> dropped_ids;
 };
 
-/// Everything one engine thread owns besides its stations: the capture
-/// sink, the streaming publish scratch, the flight ring and its metrics
-/// fold bookkeeping.  Indexed like the old sinks_ vector: workers first,
-/// then submitters.
+/// Everything one engine thread owns besides its stations: its invokes and
+/// dropped ids, the step batch, the flight ring and its metrics fold
+/// bookkeeping.  Indexed like the merge queues: workers first, then
+/// submitters.
 struct EngineThread {
   ThreadSink sink;
-  /// Streaming scratch: the current step's records, published as one
-  /// seq-sorted batch at the end of step_station.
+  /// The current step's records, sorted by seq: the only record a step
+  /// produces.  The flight ring reads it and the merge takes it.
   std::vector<sim::EventRecord> batch;
   std::unique_ptr<obs::Ring<obs::FlightEvent>> flight;
   std::size_t slot = 0;  ///< MetricsHub slot == thread index
@@ -92,49 +107,82 @@ struct EngineThread {
   std::uint64_t last_fold_us = 0;  ///< clock time of the last fold
 };
 
-/// The live seq-frontier merge.  Each engine thread publishes every step's
-/// records as one batch sorted by seq; within a thread, every seq of batch
-/// i+1 was claimed after every seq of batch i (the step's fetch_add
+/// The seq-frontier merge: the one path from the engine threads' step
+/// batches to the run's obs::TraceSink.  Each engine thread publishes every
+/// step's records as one batch sorted by seq; within a thread, every seq of
+/// batch i+1 was claimed after every seq of batch i (the step's fetch_add
 /// happens-after the previous step's routing), so each per-thread queue is
-/// seq-monotone and the merger only ever inspects queue heads: it pops a
-/// head exactly when its seq equals the number of records already written.
-/// Producers block once their queue holds `cap` records — that bound, plus
-/// the writer's spool-to-disk design, is what makes streaming memory
-/// proportional to inter-thread skew instead of run length.  (A blocked
-/// producer cannot deadlock the merge: if the frontier seq is in a
-/// thread's *unpublished* batch, everything in that thread's queue is
-/// older than the frontier and hence already consumed — the queue is
-/// empty, so the producer was never blocked.)
-class StreamHub {
+/// seq-monotone and the merge only ever inspects queue heads: it pops a
+/// head exactly when its seq equals the number of records the sink holds.
+///
+/// With a file to stream to, a merger thread pumps while the run executes
+/// and producers block once their queue holds kStreamQueueCap records —
+/// that bound, plus the sink's spool, is what makes streaming memory
+/// proportional to inter-thread skew instead of run length.  Among the
+/// publishers alone a blocked producer cannot deadlock the merge: if the
+/// frontier seq is in a thread's *unpublished* batch, everything in that
+/// thread's queue is older than the frontier and hence already consumed —
+/// the queue is empty, so the producer was never blocked.  The inboxes can
+/// still close a cycle: a producer blocked on the cap cannot drain its own
+/// inboxes, and a peer that holds the frontier seq may be spinning in
+/// MpscInbox::push on one of them.
+///
+/// Without a file nothing pumps until drain() after the join, so the queues
+/// are unbounded: a capture-only run never waits on the merge, and so can
+/// never close that cycle.
+class FrontierMerge {
  public:
-  StreamHub(std::size_t nthreads, const std::string& path, std::size_t cap)
-      : writer_(path), cap_(cap) {
+  FrontierMerge(std::size_t nthreads, bool keep_events,
+                const std::string& path)
+      : sink_(keep_events, path), live_(!path.empty()) {
     queues_.reserve(nthreads);
     for (std::size_t i = 0; i < nthreads; ++i)
       queues_.push_back(std::make_unique<Queue>());
+    if (live_) merger_ = std::thread([this] { merger_loop(); });
   }
 
+  ~FrontierMerge() { stop(); }
+
+  FrontierMerge(const FrontierMerge&) = delete;
+  FrontierMerge& operator=(const FrontierMerge&) = delete;
+
   /// Producer (thread t): moves `batch` (sorted by seq) into t's queue,
-  /// waiting while the queue is over capacity.  Clears `batch`.
+  /// waiting while a live merger has the queue over capacity.  Clears
+  /// `batch`.
   void publish(std::size_t t, std::vector<sim::EventRecord>& batch) {
-    if (batch.empty()) return;
     Queue& q = *queues_[t];
     {
       std::unique_lock<std::mutex> lock(q.mu);
-      q.not_full.wait(lock, [&] { return q.records.size() < cap_; });
+      if (live_)
+        q.not_full.wait(lock, [&] {
+          return q.records.size() - q.head < kStreamQueueCap;
+        });
       for (auto& rec : batch) q.records.push_back(std::move(rec));
     }
     batch.clear();
-    wake_.notify_one();
+    if (live_) wake_.notify_one();
   }
 
-  /// Merger thread body: advances the frontier until stop() has been
-  /// called and every published record is written.
+  /// Called after the engine threads joined: stops the merger, if any, and
+  /// pumps every record still queued into the sink.
+  obs::TraceSink& drain() {
+    stop();
+    while (pump()) {
+    }
+    return sink_;
+  }
+
+ private:
+  static constexpr std::size_t kStreamQueueCap = 1 << 14;
+
   void merger_loop() {
     for (;;) {
       if (pump()) continue;
       if (stop_.load(std::memory_order_acquire)) {
-        // Engine threads have joined: everything is published; drain.
+        // Engine threads have joined: everything is published.  Drain the
+        // backlog here rather than in drain(): records freed on this thread
+        // return their pooled blocks (util/pool.h) to the shared store when
+        // it exits, where the engine threads' next allocations find them.
         while (pump()) {
         }
         return;
@@ -146,53 +194,62 @@ class StreamHub {
     }
   }
 
-  /// Called after the engine threads joined; merger_loop drains and exits.
   void stop() {
+    if (!merger_.joinable()) return;
     stop_.store(true, std::memory_order_release);
     wake_.notify_one();
+    merger_.join();
   }
 
-  obs::TraceStreamWriter& writer() { return writer_; }
-
- private:
-  /// One frontier pass over all queues; true when any record was written.
+  /// One frontier pass over all queues; true when any record was appended.
   bool pump() {
     bool progressed = false;
     for (auto& qp : queues_) {
       Queue& q = *qp;
-      // Pop the longest frontier-contiguous run under the lock, serialize
-      // outside it so producers never wait on file I/O.
+      // Pop the longest frontier-contiguous run under the lock, export it
+      // outside so producers never wait on the sink.
       run_.clear();
       {
         std::lock_guard<std::mutex> lock(q.mu);
-        std::uint64_t next = writer_.events();
-        while (!q.records.empty() && q.records.front().seq == next) {
-          run_.push_back(std::move(q.records.front()));
-          q.records.pop_front();
+        std::uint64_t next = sink_.events();
+        while (q.head < q.records.size() && q.records[q.head].seq == next) {
+          run_.push_back(std::move(q.records[q.head++]));
           ++next;
+        }
+        // Reclaim the merged prefix once it is half the queue: amortized
+        // O(1) per record, and a live queue stays within twice its cap.
+        if (2 * q.head >= q.records.size()) {
+          q.records.erase(q.records.begin(), q.records.begin() + q.head);
+          q.head = 0;
         }
       }
       if (run_.empty()) continue;
-      q.not_full.notify_one();
-      for (const auto& rec : run_) writer_.append(rec);
+      if (live_) q.not_full.notify_one();
+      for (const auto& rec : run_) sink_.append(rec);
       progressed = true;
     }
     return progressed;
   }
 
+  /// A vector with a merged-prefix index, not a deque: under CPU
+  /// oversubscription (six concurrent ShardedRt processes on a 4-core
+  /// machine) the inbox livelock — MpscInbox::push spinning on a full
+  /// inbox — hung 16% of runs with a deque here and 11% with the vector.
   struct Queue {
     std::mutex mu;
     std::condition_variable not_full;
-    std::deque<sim::EventRecord> records;
+    std::vector<sim::EventRecord> records;  ///< unmerged from `head` on
+    std::size_t head = 0;
   };
 
-  obs::TraceStreamWriter writer_;
-  std::size_t cap_;
+  obs::TraceSink sink_;
+  const bool live_;  ///< a merger thread pumps while the run executes
   std::vector<std::unique_ptr<Queue>> queues_;
-  std::vector<sim::EventRecord> run_;  ///< merger-local scratch
+  std::vector<sim::EventRecord> run_;  ///< pump-local scratch
   std::atomic<bool> stop_{false};
   std::mutex wake_mu_;
   std::condition_variable wake_;
+  std::thread merger_;
 };
 
 struct SubmitterStats {
@@ -207,16 +264,11 @@ class Engine {
          const wl::WorkloadConfig& wcfg, const Options& opts)
       : protocol_(protocol), ccfg_(ccfg), wcfg_(wcfg), opts_(opts) {
     clock_ = opts_.clock != nullptr ? opts_.clock : &WallClock::instance();
-    capture_ = opts_.capture;
   }
 
   ~Engine() {
-    // Defensive: run() joins these on the normal path; a CheckFailure
+    // Defensive: run() joins the sampler on the normal path; a CheckFailure
     // escaping mid-run must not terminate on a joinable thread.
-    if (merger_.joinable()) {
-      stream_->stop();
-      merger_.join();
-    }
     if (sampler_.joinable()) stop_sampler();
   }
 
@@ -234,7 +286,7 @@ class Engine {
   void request_stop();
   bool over_budget() const {
     return WallClock::instance().now_us() - wall_start_us_ >
-           opts_.wall_budget_ms * 1000;
+           kWallBudgetMs * 1000;
   }
   void fold_metrics(EngineThread& t);
   void maybe_fold(EngineThread& t);
@@ -247,8 +299,7 @@ class Engine {
   wl::WorkloadConfig wcfg_;
   Options opts_;
   Clock* clock_ = nullptr;
-  bool capture_ = true;
-  /// capture_ || streaming: EventRecords are built at all.
+  /// Capture, streaming or the flight ring: step batches are built at all.
   bool record_ = true;
 
   Cluster cluster_;
@@ -258,9 +309,8 @@ class Engine {
   std::vector<EngineThread> threads_;               ///< one per engine thread
   std::size_t workers_ = 1;
 
-  // Streaming export (Options::stream_path).
-  std::unique_ptr<StreamHub> stream_;
-  std::thread merger_;
+  /// Capture or streaming: the merge into the run's trace sink.
+  std::unique_ptr<FrontierMerge> merge_;
 
   // Metrics sampling (Options::metrics_interval_us).
   std::unique_ptr<obs::MetricsHub> metrics_hub_;
@@ -323,7 +373,7 @@ void Engine::build_cluster() {
     auto st = std::make_unique<Station>();
     st->proc = std::as_const(boot).process(ProcessId(i)).clone();
     st->client = dynamic_cast<ClientBase*>(st->proc.get());
-    st->inbox = std::make_unique<MpscInbox>(opts_.inbox_capacity);
+    st->inbox = std::make_unique<MpscInbox>(kInboxCapacity);
     stations_.push_back(std::move(st));
   }
 
@@ -347,27 +397,14 @@ void Engine::route(sim::Message m, EngineThread& t) {
   if (opts_.drop_filter && opts_.drop_filter(m)) {
     const std::uint64_t seq = seq_.fetch_add(1, std::memory_order_acq_rel);
     drops_.fetch_add(1, std::memory_order_relaxed);
-    if (t.flight) {
-      obs::FlightEvent fe;
-      fe.seq = seq;
-      fe.kind = "drop";
-      fe.process = m.dst.value();
-      fe.msg_id = m.id.value();
-      fe.src = m.src.value();
-      if (m.payload) fe.payload = m.payload->kind();
-      t.flight->push(std::move(fe));
-    }
+    if (merge_) t.sink.dropped_ids.push_back(m.id.value());
     if (record_) {
-      t.sink.dropped_ids.push_back(m.id.value());
-      sim::EventRecord rec;
+      // Into the step's batch, after the step's own record: the drop
+      // claimed a later seq, so the batch stays sorted.
+      sim::EventRecord& rec = t.batch.emplace_back();
       rec.event = sim::Event::drop(m.id);
       rec.seq = seq;
       rec.delivered = std::move(m);
-      // Into the step's batch, not the sink: drops claim seqs *after* the
-      // step's base+k but must sort before it in the published batch (see
-      // the rotate in step_station).  The capture sink gets its copy when
-      // the batch lands there at the end of the step.
-      t.batch.push_back(std::move(rec));
     }
     return;
   }
@@ -399,66 +436,31 @@ void Engine::step_station(Station& s, EngineThread& t) {
       t.batch.push_back(std::move(rec));
     }
   }
-  if (t.flight) {
-    for (std::size_t i = 0; i < k; ++i) {
-      const sim::Message& m = s.drain_scratch[i];
-      obs::FlightEvent fe;
-      fe.seq = base + i;
-      fe.kind = "deliver";
-      fe.process = m.dst.value();
-      fe.msg_id = m.id.value();
-      fe.src = m.src.value();
-      if (m.payload) fe.payload = m.payload->kind();
-      t.flight->push(std::move(fe));
-    }
-  }
   const std::uint64_t step_seq = base + k;
   sim::StepContext ctx(s.proc->id(), step_seq, std::move(s.out_scratch));
   s.proc->on_step(ctx, s.drain_scratch);
   counter_steps() += 1;
   counter_deliveries() += k;
 
-  sim::EventRecord step_rec;
+  // The step's record goes at batch[k], right after its k deliveries and
+  // before any drop route() appends (those claim later seqs): the batch is
+  // sorted by seq, which the merge requires of every published batch.
   if (record_) {
-    step_rec.event = sim::Event::step(s.proc->id());
-    step_rec.seq = step_seq;
-    step_rec.consumed = s.drain_scratch;
+    sim::EventRecord& rec = t.batch.emplace_back();
+    rec.event = sim::Event::step(s.proc->id());
+    rec.seq = step_seq;
+    rec.consumed = s.drain_scratch;
   }
-  std::uint64_t sent = 0;
   sim::batch_outgoing(s.proc->id(), stations_.size(), ctx.outgoing(),
                       s.dst_scratch, s.send_seq, [&](sim::Message m) {
                         counter_sent() += 1;
-                        ++sent;
-                        if (record_) step_rec.sent.push_back(m);
+                        if (record_) t.batch[k].sent.push_back(m);
                         route(std::move(m), t);
                       });
   s.out_scratch = ctx.take_outgoing();
-  if (t.flight) {
-    obs::FlightEvent fe;
-    fe.seq = step_seq;
-    fe.kind = "step";
-    fe.process = s.proc->id().value();
-    fe.consumed = k;
-    fe.sent = sent;
-    t.flight->push(std::move(fe));
-  }
-  if (record_) {
-    // Batch layout so far: k deliveries (base..base+k-1), then any drop
-    // records route() appended (each with seq > base+k).  Append the step
-    // record and rotate it in front of the drops: the batch is then sorted
-    // by seq, which the streaming merge requires of every published batch.
-    const std::size_t drops = t.batch.size() - k;
-    t.batch.push_back(std::move(step_rec));
-    if (drops > 0)
-      std::rotate(t.batch.begin() + k, t.batch.end() - 1, t.batch.end());
-    if (capture_ && stream_) {
-      for (const auto& rec : t.batch) t.sink.events.push_back(rec);
-    } else if (capture_) {
-      for (auto& rec : t.batch) t.sink.events.push_back(std::move(rec));
-      t.batch.clear();
-    }
-    if (stream_) stream_->publish(t.slot, t.batch);
-  }
+  if (t.flight)
+    for (const auto& rec : t.batch) t.flight->push(obs::flight_from(rec));
+  if (merge_) merge_->publish(t.slot, t.batch);
   if (metrics_hub_ && ++t.steps_since_fold >= kFoldEverySteps)
     fold_metrics(t);
 }
@@ -488,7 +490,7 @@ void Engine::worker_loop(const std::vector<Station*>& owned, Parker& parker,
     // the honest semantics of sampling anyway.
     maybe_fold(t);
     const bool woken =
-        parker.wait_for(opts_.idle_tick_us, [&] {
+        parker.wait_for(kIdleTickUs, [&] {
           if (stop_.load(std::memory_order_acquire)) return true;
           for (Station* s : owned)
             if (!s->inbox->empty()) return true;
@@ -513,13 +515,13 @@ void Engine::submitter_loop(Station& st, const std::vector<TxSpec>& specs,
                             SubmitterStats& stats) {
   ClientBase* client = st.client;
   const std::uint64_t tick_us = ccfg_.client_retransmit_after > 0
-                                    ? opts_.retransmit_tick_us
-                                    : opts_.submitter_tick_us;
+                                    ? kRetransmitTickUs
+                                    : kSubmitterTickUs;
   std::size_t done_specs = 0;
   for (const TxSpec& spec : specs) {
     if (timed_out_.load(std::memory_order_acquire)) break;
     active_txs_.fetch_add(1, std::memory_order_acq_rel);
-    if (record_) {
+    if (merge_) {
       obs::InvokeRecord inv;
       inv.at = seq_.load(std::memory_order_relaxed);
       inv.client = st.proc->id();
@@ -667,14 +669,10 @@ RunReport Engine::run() {
       threads_[i].flight = std::make_unique<obs::Ring<obs::FlightEvent>>(
           opts_.flight_capacity);
   }
-  record_ = capture_ || !opts_.stream_path.empty();
-  if (!opts_.stream_path.empty()) {
-    // Queue capacity bounds streaming memory: at most cap records per
-    // thread queue (plus one in-flight batch) before producers wait.
-    stream_ = std::make_unique<StreamHub>(nthreads, opts_.stream_path,
-                                          /*cap=*/1 << 14);
-    merger_ = std::thread([this] { stream_->merger_loop(); });
-  }
+  if (opts_.capture || !opts_.stream_path.empty())
+    merge_ = std::make_unique<FrontierMerge>(nthreads, opts_.capture,
+                                             opts_.stream_path);
+  record_ = merge_ || opts_.flight_capacity > 0;
   if (opts_.metrics_interval_us > 0) {
     metrics_hub_ = std::make_unique<obs::MetricsHub>(nthreads);
     series_.source = cat("rt:", protocol_.name(), ":w", workers_);
@@ -723,13 +721,9 @@ RunReport Engine::run() {
   // protocol counters) into this thread's.
   par::ThreadPool::shared().run_batch(std::move(tasks));
 
-  // Engine threads have joined: every batch is published; drain the merger
-  // and stop the sampler (with one final sample so short runs still get a
-  // data point and the timeline ends at the run's true totals).
-  if (stream_) {
-    stream_->stop();
-    merger_.join();
-  }
+  // Engine threads have joined: stop the sampler (with one final sample so
+  // short runs still get a data point and the timeline ends at the run's
+  // true totals).
   if (metrics_hub_) {
     stop_sampler();
     take_sample();
@@ -768,18 +762,28 @@ RunReport Engine::finalize(std::vector<SubmitterStats> stats,
               });
   }
 
-  if (!record_) return rep;
+  if (!merge_) return rep;
 
-  // Invokes and dropped ids are recorded whenever records are (capture or
-  // streaming); both artifacts need them.
-  std::vector<obs::InvokeRecord> invokes;
+  // The sequence counter claimed exactly rep.events values and every claim
+  // produced exactly one record; the sink took them in seq order with no
+  // gap (TraceSink::append), so equal counts are a full audit of the
+  // capture invariant.
+  obs::TraceSink& sink = merge_->drain();
+  DISCS_CHECK_MSG(sink.events() == rep.events,
+                  "rt capture: record count != sequence counter");
+
+  obs::TraceDoc doc;
+  doc.protocol = protocol_.name();
+  doc.scenario = cat("rt:w", workers_, ":seed", wcfg_.seed);
+  doc.cluster = ccfg_;
+  doc.initial = cluster_.initial_values;
   std::vector<std::uint64_t> dropped_ids;
   for (auto& t : threads_) {
-    for (auto& inv : t.sink.invokes) invokes.push_back(std::move(inv));
+    for (auto& inv : t.sink.invokes) doc.invokes.push_back(std::move(inv));
     dropped_ids.insert(dropped_ids.end(), t.sink.dropped_ids.begin(),
                        t.sink.dropped_ids.end());
   }
-  obs::sort_invokes(invokes);
+  obs::sort_invokes(doc.invokes);
 
   // History: initial values + every client's local record, exactly like
   // proto::collect_history (which wants a Simulation we no longer have).
@@ -789,7 +793,7 @@ RunReport Engine::finalize(std::vector<SubmitterStats> stats,
   parts.push_back(std::move(base));
   for (auto cid : cluster_.clients)
     parts.push_back(stations_[cid.value()]->client->local_history());
-  hist::History history = hist::merge_histories(parts);
+  doc.history = hist::merge_histories(parts);
 
   // Final digest, byte-compatible with sim::Simulation::digest(): process
   // digests in id order, then the network digest over whatever is still
@@ -810,56 +814,12 @@ RunReport Engine::finalize(std::vector<SubmitterStats> stats,
     std::sort(dropped_ids.begin(), dropped_ids.end());
     os << " dropped:{" << join(dropped_ids, ",") << "}";
   }
-  const std::string final_digest = os.str();
-  const std::string scenario = cat("rt:w", workers_, ":seed", wcfg_.seed);
+  doc.final_digest = os.str();
 
-  if (capture_) {
-    // Merge per-thread sinks into the one total event order.  The sequence
-    // counter claimed exactly rep.events values and every claim produced
-    // exactly one record, so the merged list must be contiguous 0..N-1 —
-    // a cheap full audit of the capture invariant.
-    std::vector<sim::EventRecord> events;
-    events.reserve(rep.events);
-    for (auto& t : threads_)
-      for (auto& rec : t.sink.events) events.push_back(std::move(rec));
-    std::sort(events.begin(), events.end(),
-              [](const sim::EventRecord& a, const sim::EventRecord& b) {
-                return a.seq < b.seq;
-              });
-    DISCS_CHECK_MSG(events.size() == rep.events,
-                    "rt capture: record count != sequence counter");
-    for (std::size_t i = 0; i < events.size(); ++i)
-      DISCS_CHECK_MSG(events[i].seq == i, "rt capture: sequence gap");
-
-    obs::TraceDoc& doc = rep.doc;
-    doc.protocol = protocol_.name();
-    doc.scenario = scenario;
-    doc.cluster = ccfg_;
-    doc.initial = cluster_.initial_values;
-    doc.invokes = invokes;
-    const bool any_fault =
-        obs::export_event_records(events, /*spans=*/false, doc);
-    doc.schema = any_fault ? std::string(obs::kTraceSchemaV2)
-                           : std::string(obs::kTraceSchema);
-    doc.history = history;
-    doc.final_digest = final_digest;
-  }
-
-  if (stream_) {
-    // The merger drained before finalize ran; the same contiguity audit
-    // applies to the streamed side.
-    DISCS_CHECK_MSG(stream_->writer().events() == rep.events,
-                    "rt stream: streamed record count != sequence counter");
-    obs::TraceDoc sdoc;  // events live in the spool, not here
-    sdoc.protocol = protocol_.name();
-    sdoc.scenario = scenario;
-    sdoc.cluster = ccfg_;
-    sdoc.initial = cluster_.initial_values;
-    sdoc.invokes = std::move(invokes);
-    sdoc.history = std::move(history);
-    sdoc.final_digest = final_digest;
-    stream_->writer().finish(std::move(sdoc));
-  }
+  // finish() adds the kept events and the schema, and writes the streamed
+  // file when there is one.
+  obs::TraceDoc finished = sink.finish(std::move(doc));
+  if (opts_.capture) rep.doc = std::move(finished);
   return rep;
 }
 

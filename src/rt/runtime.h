@@ -15,19 +15,21 @@
 //     no central network object, no global lock on the hot path.
 //
 // Trace capture: a global atomic sequence counter assigns every event
-// (deliver / step / drop) its position as it happens; per-thread sinks
-// collect EventRecords and the finalizer merges them by sequence number
-// into a discs.trace.v2-compatible TraceDoc.  With Options::stream_path
-// the same merge happens *live*: every engine thread publishes each step's
-// records as one seq-sorted batch and a merger thread advances the global
-// frontier, emitting records incrementally through obs::TraceStreamWriter
-// — byte-identical artifact, memory bounded by inter-thread skew instead
-// of run length.  Because a drained batch is
-// delivered in enqueue-ticket order and the step claims the sequence range
-// atomically with its deliveries, the captured artifact satisfies the
-// simulator's event model exactly — obs::replay_doc re-executes it
-// byte-for-byte on the single-threaded simulator, which is how every rt
-// run is verified against the oracle (docs/RUNTIME.md).
+// (deliver / step / drop) its position as it happens.  A step's records
+// form one seq-sorted batch, the only record the step produces: the flight
+// ring reads it, and every engine thread publishes it to one frontier
+// merge that appends records in seq order to one obs::TraceSink.  The sink
+// keeps the exported events for RunReport::doc (Options::capture), streams
+// them to a file (Options::stream_path), or both; finalize builds the one
+// TraceDoc both share.  With a file the merge runs *live* on a merger
+// thread — memory bounded by inter-thread skew instead of run length;
+// without one, finalize drains the same per-thread queues after the join.
+// Because a drained batch is delivered in enqueue-ticket order and the
+// step claims the sequence range atomically with its deliveries, the
+// captured artifact satisfies the simulator's event model exactly —
+// obs::replay_doc re-executes it byte-for-byte on the single-threaded
+// simulator, which is how every rt run is verified against the oracle
+// (docs/RUNTIME.md).
 #pragma once
 
 #include <cstddef>
@@ -49,25 +51,10 @@ struct Options {
   /// Worker threads stepping servers (clamped to [1, num_servers]).
   /// Submitter threads (one per client) are additional.
   std::size_t workers = 2;
-  /// Bound on queued messages per inbox; producers backpressure when full.
-  std::size_t inbox_capacity = 4096;
   /// Record the execution as a TraceDoc (RunReport::doc).  Off for
   /// throughput benches: sequence numbers are still claimed (virtual time
   /// advances identically) but no records are kept.
   bool capture = true;
-  /// Wall-clock microseconds per client retransmit-ladder tick.  Only
-  /// meaningful when ClusterConfig::client_retransmit_after armed the
-  /// ladder; each elapsed period feeds the ladder one stalled step.
-  std::uint64_t retransmit_tick_us = 200;
-  /// Parked worker idle-tick period: a worker whose inboxes stay empty
-  /// this long steps its servers once anyway (empty-inbox steps drive
-  /// time-based deferred work: commit-wait, gossip stabilization).
-  std::uint64_t idle_tick_us = 200;
-  /// Parked submitter re-check period when the ladder is off.
-  std::uint64_t submitter_tick_us = 500;
-  /// Real-wall-clock budget for the whole run; exceeded => RunReport
-  /// timed_out and remaining transactions counted incomplete.
-  std::uint64_t wall_budget_ms = 30000;
   /// Time source for submitter pacing (tests inject FakeClock).  Workers
   /// always park on real time.  Null => WallClock::instance().
   Clock* clock = nullptr;
@@ -77,12 +64,12 @@ struct Options {
   std::function<bool(const sim::Message&)> drop_filter;
   /// Streaming trace export: when non-empty, a merger thread follows the
   /// global sequence frontier *while the run executes*, appending each
-  /// event record to `<stream_path>.spool` the moment every earlier seq
-  /// has been emitted, and assembles the canonical artifact at
-  /// `stream_path` during finalize (obs/trace_stream.h).  Byte-identical
-  /// to export_jsonl(RunReport::doc); independent of `capture` — with
-  /// capture off the streamed file is the run's only full record, and the
-  /// engine buffers only the inter-thread seq skew, not the whole trace.
+  /// event line to `<stream_path>.spool` the moment every earlier seq has
+  /// been emitted, and finalize assembles the canonical artifact at
+  /// `stream_path` (obs/trace_stream.h).  Byte-identical to
+  /// export_jsonl(RunReport::doc); independent of `capture` — with capture
+  /// off the streamed file is the run's only full record, and the engine
+  /// buffers only the inter-thread seq skew, not the whole trace.
   std::string stream_path;
   /// Metrics sampling cadence in Options::clock microseconds (0 = off):
   /// a sampler thread aggregates every engine thread's registry shard
@@ -104,6 +91,8 @@ struct RunReport {
   std::size_t txs_incomplete = 0;
   std::uint64_t events = 0;  ///< sequence numbers claimed (virtual time)
   std::uint64_t drops = 0;   ///< messages dropped by Options::drop_filter
+  /// The run exceeded its 30 s wall-clock budget; the transactions left
+  /// are counted incomplete.
   bool timed_out = false;
   /// Per-transaction invoke-to-complete latency in clock microseconds.
   obs::Histogram latency_us;

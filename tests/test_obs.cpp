@@ -4,7 +4,10 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <limits>
+#include <sstream>
 
 #include "consistency/checkers.h"
 #include "obs/json.h"
@@ -12,7 +15,10 @@
 #include "obs/registry.h"
 #include "obs/ring.h"
 #include "obs/trace_io.h"
+#include "obs/trace_stream.h"
+#include "proto/common/client.h"
 #include "proto/registry.h"
+#include "sim/schedule.h"
 
 namespace discs {
 namespace {
@@ -255,6 +261,128 @@ TEST(TraceIo, UnknownScenarioThrows) {
   proto::ClusterConfig cfg;
   EXPECT_THROW(obs::capture_scenario(*protocol, "no-such-scenario", cfg),
                CheckFailure);
+}
+
+// --- TraceSink -------------------------------------------------------------
+
+/// A short cops run on the simulator to feed sinks: one write, optionally
+/// losing the client's first request to a drop (a fault event), with `ref`
+/// the reference exporter's (make_doc) document of the same records.
+struct SinkInput {
+  std::vector<sim::EventRecord> records;
+  obs::TraceDoc ref;
+};
+
+SinkInput sink_input(bool drop) {
+  auto protocol = proto::protocol_by_name("cops");
+  proto::ClusterConfig cfg;
+  sim::Simulation sim;
+  proto::IdSource ids;
+  proto::Cluster cluster = protocol->build(sim, cfg, ids);
+  const ProcessId client = cluster.clients[0];
+  proto::TxSpec w = ids.write_one(cluster.view.objects[0]);
+  std::vector<obs::InvokeRecord> invokes{{sim.now(), client, w}};
+  sim.process_as<proto::ClientBase>(client).invoke(w);
+  sim.step(client);
+  if (drop) {
+    EXPECT_TRUE(sim.drop(sim.network().in_flight().front().id));
+  }
+  sim::run_to_quiescence(sim, {});
+  SinkInput in;
+  in.records.assign(sim.trace().records().begin(),
+                    sim.trace().records().end());
+  in.ref = obs::make_doc(*protocol, "sink", cfg, sim, cluster, invokes);
+  return in;
+}
+
+/// Appends every record to a sink and finishes it with everything of
+/// `in.ref` but its events and schema.
+obs::TraceDoc through_sink(const SinkInput& in, bool keep_events,
+                           const std::string& path) {
+  obs::TraceSink sink(keep_events, path);
+  for (const auto& rec : in.records) sink.append(rec);
+  obs::TraceDoc doc = in.ref;
+  doc.events.clear();
+  doc.schema.clear();
+  return sink.finish(std::move(doc));
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.is_open()) << path;
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+bool file_exists(const std::string& path) {
+  return std::ifstream(path).is_open();
+}
+
+TEST(TraceSink, MemoryFileAndBothSinksReturnTheSameDoc) {
+  for (bool drop : {false, true}) {
+    SCOPED_TRACE(drop ? "with drop" : "fault-free");
+    const SinkInput in = sink_input(drop);
+    const std::string want = obs::export_jsonl(in.ref);
+    const std::string file_path = testing::TempDir() + "trace_sink_file.jsonl";
+    const std::string both_path = testing::TempDir() + "trace_sink_both.jsonl";
+
+    obs::TraceDoc memory = through_sink(in, /*keep_events=*/true, "");
+    obs::TraceDoc file = through_sink(in, /*keep_events=*/false, file_path);
+    obs::TraceDoc both = through_sink(in, /*keep_events=*/true, both_path);
+    // The memory sink's doc is the reference exporter's, byte for byte...
+    EXPECT_EQ(obs::export_jsonl(memory), want);
+    EXPECT_EQ(obs::export_jsonl(both), want);
+    // ...and a file-only sink returns the same doc minus the events it did
+    // not keep.
+    EXPECT_TRUE(file.events.empty());
+    file.events = memory.events;
+    EXPECT_EQ(obs::export_jsonl(file), want);
+
+    // Each file is the export of that doc, and its spool is gone.
+    EXPECT_EQ(slurp(file_path), want);
+    EXPECT_EQ(slurp(both_path), want);
+    EXPECT_FALSE(file_exists(file_path + ".spool"));
+    EXPECT_FALSE(file_exists(both_path + ".spool"));
+    std::remove(file_path.c_str());
+    std::remove(both_path.c_str());
+  }
+}
+
+TEST(TraceSink, ADropRecordFlipsTheSchemaToV2) {
+  EXPECT_EQ(through_sink(sink_input(false), true, "").schema,
+            obs::kTraceSchema);
+  const SinkInput lossy = sink_input(true);
+  EXPECT_EQ(lossy.ref.schema, obs::kTraceSchemaV2);
+  EXPECT_EQ(through_sink(lossy, true, "").schema, obs::kTraceSchemaV2);
+  // The decision is retroactive: the file's header, written at finish(),
+  // says v2 although the drop was appended after the first record.
+  const std::string path = testing::TempDir() + "trace_sink_v2.jsonl";
+  through_sink(lossy, false, path);
+  EXPECT_EQ(obs::import_jsonl(slurp(path)).schema, obs::kTraceSchemaV2);
+  std::remove(path.c_str());
+}
+
+TEST(TraceSink, OutOfOrderAppendCheckFails) {
+  const SinkInput in = sink_input(false);
+  ASSERT_GE(in.records.size(), 2u);
+  obs::TraceSink sink(true, "");
+  EXPECT_THROW(sink.append(in.records[1]), CheckFailure);  // a gap
+  sink.append(in.records[0]);
+  EXPECT_THROW(sink.append(in.records[0]), CheckFailure);  // a repeat
+  EXPECT_EQ(sink.events(), 1u);
+}
+
+TEST(TraceSink, SinkDestroyedBeforeFinishLeavesNoSpool) {
+  const SinkInput in = sink_input(false);
+  const std::string path = testing::TempDir() + "trace_sink_abandoned.jsonl";
+  {
+    obs::TraceSink sink(true, path);
+    sink.append(in.records[0]);
+    EXPECT_TRUE(file_exists(path + ".spool"));
+  }
+  EXPECT_FALSE(file_exists(path + ".spool"));
+  EXPECT_FALSE(file_exists(path));
 }
 
 // --- Ring ------------------------------------------------------------------

@@ -37,6 +37,14 @@ namespace {
 
 using cons::Verdict;
 
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.is_open()) << path;
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
 // --- MPSC inbox ------------------------------------------------------------
 
 struct Tag : sim::Payload {
@@ -328,6 +336,9 @@ TEST(RtBackend, WallClockRetransmitRecoversDroppedRequest) {
   rt::Options opts;
   opts.workers = 2;
   opts.clock = &clock;
+  // Streamed too: the only streamed run with a fault event (a published
+  // batch carrying a drop after its step), so the file must say v2.
+  opts.stream_path = testing::TempDir() + "rt_stream_drop.jsonl";
   opts.drop_filter = [&](const sim::Message& m) {
     // Drop the first client-originated request, exactly once.
     if (m.src.value() < ccfg.num_servers) return false;
@@ -350,6 +361,11 @@ TEST(RtBackend, WallClockRetransmitRecoversDroppedRequest) {
   obs::DocReplay replay = obs::replay_doc(rep.doc, *protocol);
   ASSERT_TRUE(replay.ok) << replay.error;
   EXPECT_EQ(obs::export_jsonl(replay.reexport), obs::export_jsonl(rep.doc));
+  // The file sink made the same v2 decision and wrote the same bytes.
+  const std::string streamed = slurp(opts.stream_path);
+  EXPECT_EQ(streamed, obs::export_jsonl(rep.doc));
+  EXPECT_EQ(obs::import_jsonl(streamed).schema, obs::kTraceSchemaV2);
+  std::remove(opts.stream_path.c_str());
 }
 
 TEST(RtBackend, FakeClockAutoAdvances) {
@@ -365,14 +381,6 @@ TEST(RtBackend, FakeClockAutoAdvances) {
 }
 
 // --- streaming trace export ------------------------------------------------
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.is_open()) << path;
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
 
 rt::RunReport run_rt_streamed(const proto::Protocol& protocol,
                               std::size_t workers, bool capture,
