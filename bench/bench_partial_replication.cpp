@@ -66,9 +66,8 @@ int main() {
   }
   std::cout << ascii_table(rows2) << "\n";
 
-  // The sharded regime (docs/SHARDING.md): the same induction argument on
-  // the Appendix A general model proper — N shards x R replicas with
-  // computed placement — instead of the enumerated round-robin layout.
+  // Many keys per shard (docs/SHARDING.md): the same induction argument on
+  // N shards x R replicas instead of one shard per object.
   std::cout << "=== Theorem 2 under sharded placement ===\n\n";
   std::vector<std::vector<std::string>> rows3;
   rows3.push_back(
@@ -92,7 +91,7 @@ int main() {
   }
   std::cout << ascii_table(rows3) << "\n";
   std::cout << "The impossibility outcomes are invariant in the cluster\n"
-               "shape (Theorem 2) — enumerated or sharded placement alike —\n"
+               "shape (Theorem 2) — one shard per object or many alike —\n"
                "and the feasible designs keep their guarantees as the\n"
                "system grows.\n";
   return 0;

@@ -12,7 +12,10 @@ Two artifact flavors are understood:
   baseline of 0 tolerates noise-free growth to 1 without tripping).  Pinned
   values are deterministic simulation metrics, not wall times: they move
   only when protocol or harness behavior changes, which is exactly what the
-  guard is for.  Decreases are improvements and always pass.
+  guard is for.  Decreases are improvements and always pass.  The two
+  reports must also agree on their "smoke" flag: --smoke runs fewer
+  transactions per cell, so its percentiles are not comparable with a full
+  run's, and a mismatched pair fails.
 
 * google-benchmark reports (BENCH_sim.json / BENCH_faults.json /
   BENCH_rt.json): wall times
@@ -40,6 +43,12 @@ def fail(msg):
 
 
 def check_pinned(base, cur, threshold):
+    mismatched = 0
+    if base.get("smoke") != cur.get("smoke"):
+        mismatched = fail(
+            f"smoke flag differs: baseline {base.get('smoke')!r}, current "
+            f"{cur.get('smoke')!r} (record both in the same mode)"
+        )
     bad = 0
     base_pinned = base["pinned"]
     cur_pinned = cur.get("pinned", {})
@@ -58,7 +67,7 @@ def check_pinned(base, cur, threshold):
         f"check_bench_regression: {len(base_pinned)} pinned families checked, "
         f"{bad} regressed"
     )
-    return bad
+    return mismatched + bad
 
 
 def check_coverage(base, cur):

@@ -18,9 +18,9 @@
 // <out>/chaos-crash.flight.json from an async-signal-safe handler that
 // write()s a buffer pre-serialized between campaigns.
 //
-// --shards switches the cluster to the sharded, partially-replicated
-// regime (docs/SHARDING.md); pair with --servers/--objects/--replicas to
-// shape it (e.g. `--shards 64 --servers 8 --objects 1000000 --replicas 2`
+// --shards sets the shard count (docs/SHARDING.md; the default is one
+// shard per object); pair with --servers/--objects/--replicas to shape
+// the cluster (e.g. `--shards 64 --servers 8 --objects 1000000 --replicas 2`
 // runs the campaign over the Appendix A general model at scale).
 //
 // Default configuration runs with the exactly-once session layer and the

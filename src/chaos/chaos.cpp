@@ -4,6 +4,7 @@
 #include "fault/session.h"
 #include "impossibility/progress.h"
 #include "obs/registry.h"
+#include "obs/trace_io.h"
 #include "proto/registry.h"
 #include "chaos/shrink.h"
 #include "util/check.h"
@@ -204,17 +205,6 @@ constexpr const char* kReproSchema = "discs.chaosrepro.v1";
 }
 
 obs::Json ReproSpec::to_json() const {
-  obs::JsonObject cl{
-      {"servers", obs::Json(std::uint64_t(cluster.num_servers))},
-      {"clients", obs::Json(std::uint64_t(cluster.num_clients))},
-      {"objects", obs::Json(std::uint64_t(cluster.num_objects))},
-      {"replication", obs::Json(std::uint64_t(cluster.replication))},
-      {"tt_epsilon", obs::Json(cluster.tt_epsilon)},
-      {"gossip_interval", obs::Json(std::uint64_t(cluster.gossip_interval))},
-      {"exactly_once", obs::Json(cluster.exactly_once)},
-      {"durable_journal", obs::Json(cluster.durable_journal)},
-      {"journal_compact_threshold",
-       obs::Json(std::uint64_t(cluster.journal_compact_threshold))}};
   obs::JsonObject wl{
       {"num_txs", obs::Json(std::uint64_t(workload.num_txs))},
       {"write_fraction", obs::Json(workload.write_fraction)},
@@ -230,7 +220,7 @@ obs::Json ReproSpec::to_json() const {
       {"expected", obs::Json(violation_class_str(expected))},
       {"client_retransmit_after",
        obs::Json(std::uint64_t(client_retransmit_after))},
-      {"cluster", obs::Json(std::move(cl))},
+      {"cluster", obs::cluster_config_json(cluster)},
       {"workload", obs::Json(std::move(wl))},
       {"plan", plan.to_json()}};
   if (!flight.empty()) {
@@ -255,17 +245,7 @@ ReproSpec ReproSpec::from_json(const obs::Json& doc) {
                                       : ViolationClass::kNone;
   spec.client_retransmit_after =
       doc.get("client_retransmit_after").as_uint();
-  const obs::Json& cl = doc.get("cluster");
-  spec.cluster.num_servers = cl.get("servers").as_uint();
-  spec.cluster.num_clients = cl.get("clients").as_uint();
-  spec.cluster.num_objects = cl.get("objects").as_uint();
-  spec.cluster.replication = cl.get("replication").as_uint();
-  spec.cluster.tt_epsilon = cl.get("tt_epsilon").as_uint();
-  spec.cluster.gossip_interval = cl.get("gossip_interval").as_uint();
-  spec.cluster.exactly_once = cl.get("exactly_once").as_bool();
-  spec.cluster.durable_journal = cl.get("durable_journal").as_bool();
-  spec.cluster.journal_compact_threshold =
-      cl.get("journal_compact_threshold").as_uint();
+  spec.cluster = obs::cluster_config_from_json(doc.get("cluster"));
   const obs::Json& w = doc.get("workload");
   spec.workload.num_txs = w.get("num_txs").as_uint();
   spec.workload.write_fraction = w.get("write_fraction").as_double();

@@ -100,7 +100,9 @@ RunOutcome run_once(const proto::Protocol& proto,
 CampaignResult run_campaign(const proto::Protocol& proto,
                             const CampaignConfig& cfg);
 
-/// Replayable counterexample document, schema "discs.chaosrepro.v1".
+/// Replayable counterexample document, schema "discs.chaosrepro.v1".  Its
+/// "cluster" object is written and read by obs::cluster_config_json /
+/// cluster_config_from_json, the trace header's codec.
 struct ReproSpec {
   std::string protocol;
   proto::ClusterConfig cluster;

@@ -5,8 +5,11 @@
 // get exact buckets; above that, each power of two is split into
 // 2^kSubBits sub-buckets, bounding the relative quantization error at
 // 1/2^kSubBits (~3%) across the full u64 range.  All operations are
-// deterministic, so histogram-derived numbers (bench_latency's percentile
-// tables) are reproducible event counts, not wall-clock noise.
+// deterministic, so histograms of simulated quantities (ClientBase's
+// client.tx / client.rot latency_events) are reproducible event counts,
+// not wall-clock noise.  bench_latency's percentile tables do not come
+// from here: they use metrics::Summary, which keeps every sample and
+// interpolates between them.
 //
 // merge() is the absorb-compatible fold: bucket-wise addition plus
 // min/max/count/sum combination, used when `discs::par` worker registries

@@ -123,6 +123,51 @@ TraceDoc make_doc(const proto::Protocol& protocol, std::string scenario,
 
 // --- serialization ---------------------------------------------------------
 
+Json cluster_config_json(const ClusterConfig& cfg) {
+  const ClusterConfig def;
+  JsonObject out{
+      {"servers", Json(std::uint64_t(cfg.num_servers))},
+      {"clients", Json(std::uint64_t(cfg.num_clients))},
+      {"objects", Json(std::uint64_t(cfg.num_objects))},
+      {"replication", Json(std::uint64_t(cfg.replication))},
+      {"tt_epsilon", Json(cfg.tt_epsilon)},
+      {"gossip_interval", Json(std::uint64_t(cfg.gossip_interval))}};
+  if (cfg.exactly_once) out.emplace_back("exactly_once", Json(true));
+  if (cfg.durable_journal) out.emplace_back("durable_journal", Json(true));
+  if (cfg.durable_journal ||
+      cfg.journal_compact_threshold != def.journal_compact_threshold)
+    out.emplace_back("journal_compact_threshold",
+                     Json(std::uint64_t(cfg.journal_compact_threshold)));
+  if (cfg.record_spans) out.emplace_back("record_spans", Json(true));
+  if (cfg.client_retransmit_after != def.client_retransmit_after)
+    out.emplace_back("client_retransmit_after",
+                     Json(std::uint64_t(cfg.client_retransmit_after)));
+  // num_shards 0 and 1 both mean one shard per object.
+  if (cfg.num_shards > 1)
+    out.emplace_back("shards", Json(std::uint64_t(cfg.num_shards)));
+  return Json(std::move(out));
+}
+
+ClusterConfig cluster_config_from_json(const Json& j) {
+  ClusterConfig cfg;
+  cfg.num_servers = j.get("servers").as_uint();
+  cfg.num_clients = j.get("clients").as_uint();
+  cfg.num_objects = j.get("objects").as_uint();
+  cfg.replication = j.get("replication").as_uint();
+  cfg.tt_epsilon = j.get("tt_epsilon").as_uint();
+  cfg.gossip_interval = j.get("gossip_interval").as_uint();
+  if (const Json* v = j.find("exactly_once")) cfg.exactly_once = v->as_bool();
+  if (const Json* v = j.find("durable_journal"))
+    cfg.durable_journal = v->as_bool();
+  if (const Json* v = j.find("journal_compact_threshold"))
+    cfg.journal_compact_threshold = v->as_uint();
+  if (const Json* v = j.find("record_spans")) cfg.record_spans = v->as_bool();
+  if (const Json* v = j.find("client_retransmit_after"))
+    cfg.client_retransmit_after = v->as_uint();
+  if (const Json* v = j.find("shards")) cfg.num_shards = v->as_uint();
+  return cfg;
+}
+
 namespace {
 
 Json msg_json(const ExportedMessage& m) {
@@ -220,41 +265,12 @@ Json header_json(const TraceDoc& doc) {
   JsonArray initial;
   for (const auto& [obj, v] : doc.initial)
     initial.push_back(Json(JsonArray{Json(obj.value()), Json(v.value())}));
-  JsonObject cluster{
-      {"servers", Json(std::uint64_t(doc.cluster.num_servers))},
-      {"clients", Json(std::uint64_t(doc.cluster.num_clients))},
-      {"objects", Json(std::uint64_t(doc.cluster.num_objects))},
-      {"replication", Json(std::uint64_t(doc.cluster.replication))},
-      {"tt_epsilon", Json(doc.cluster.tt_epsilon)},
-      {"gossip_interval", Json(std::uint64_t(doc.cluster.gossip_interval))}};
-  // Robustness flags are emitted only when set, so traces from default
-  // configurations stay byte-identical to pre-flag exports (and old
-  // readers never see unknown keys for them).
-  if (doc.cluster.exactly_once) cluster.emplace_back("exactly_once", Json(true));
-  if (doc.cluster.durable_journal) {
-    cluster.emplace_back("durable_journal", Json(true));
-    cluster.emplace_back(
-        "journal_compact_threshold",
-        Json(std::uint64_t(doc.cluster.journal_compact_threshold)));
-  }
-  if (doc.cluster.record_spans)
-    cluster.emplace_back("record_spans", Json(true));
-  if (doc.cluster.client_retransmit_after > 0)
-    cluster.emplace_back(
-        "client_retransmit_after",
-        Json(std::uint64_t(doc.cluster.client_retransmit_after)));
-  // Shard topology: present only in the sharded regime (num_shards > 1), so
-  // flat-regime artifacts stay byte-identical.  Replays rebuild the same
-  // ShardMap from this value plus servers/replication/objects above.
-  if (doc.cluster.num_shards > 1)
-    cluster.emplace_back("shards",
-                         Json(std::uint64_t(doc.cluster.num_shards)));
   return Json(JsonObject{
       {"record", Json("header")},
       {"schema", Json(doc.schema)},
       {"protocol", Json(doc.protocol)},
       {"scenario", Json(doc.scenario)},
-      {"cluster", Json(std::move(cluster))},
+      {"cluster", cluster_config_json(doc.cluster)},
       {"initial", Json(std::move(initial))}});
 }
 
@@ -419,27 +435,7 @@ TraceDoc import_jsonl(std::string_view text) {
                                         << kTraceSchemaV2 << ")");
       doc.protocol = j.get("protocol").as_string();
       doc.scenario = j.get("scenario").as_string();
-      const Json& c = j.get("cluster");
-      doc.cluster.num_servers = c.get("servers").as_uint();
-      doc.cluster.num_clients = c.get("clients").as_uint();
-      doc.cluster.num_objects = c.get("objects").as_uint();
-      doc.cluster.replication = c.get("replication").as_uint();
-      doc.cluster.tt_epsilon = c.get("tt_epsilon").as_uint();
-      doc.cluster.gossip_interval = c.get("gossip_interval").as_uint();
-      // Optional robustness flags (absent in traces from older exports and
-      // from default configurations).
-      if (const Json* eo = c.find("exactly_once"))
-        doc.cluster.exactly_once = eo->as_bool();
-      if (const Json* dj = c.find("durable_journal"))
-        doc.cluster.durable_journal = dj->as_bool();
-      if (const Json* th = c.find("journal_compact_threshold"))
-        doc.cluster.journal_compact_threshold = th->as_uint();
-      if (const Json* rs = c.find("record_spans"))
-        doc.cluster.record_spans = rs->as_bool();
-      if (const Json* cr = c.find("client_retransmit_after"))
-        doc.cluster.client_retransmit_after = cr->as_uint();
-      if (const Json* sh = c.find("shards"))
-        doc.cluster.num_shards = sh->as_uint();
+      doc.cluster = cluster_config_from_json(j.get("cluster"));
       for (const auto& pair : j.get("initial").as_array()) {
         const auto& kv = pair.as_array();
         DISCS_CHECK_MSG(kv.size() == 2, "trace: malformed initial pair");

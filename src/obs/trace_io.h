@@ -32,6 +32,7 @@
 
 #include "fault/plan.h"
 #include "history/history.h"
+#include "obs/json.h"
 #include "obs/span.h"
 #include "proto/common/cluster.h"
 #include "proto/common/tx.h"
@@ -115,6 +116,18 @@ struct TraceDoc {
   hist::History history;
   std::string final_digest;
 };
+
+/// The one ClusterConfig <-> JSON codec: the trace header's "cluster"
+/// object and chaos repro specs (chaos/chaos.h) both use it.  The topology
+/// keys (servers, clients, objects, replication, tt_epsilon,
+/// gossip_interval) are always written; every other field only when it
+/// differs from its default (journal_compact_threshold also whenever the
+/// journal is on; shards only above 1), so a default configuration keeps
+/// the bytes it had before each knob existed.  The reader treats those
+/// keys as optional and accepts explicit defaults, which older repro specs
+/// spell out.
+Json cluster_config_json(const proto::ClusterConfig& cfg);
+proto::ClusterConfig cluster_config_from_json(const Json& j);
 
 /// Snapshots a live run into a TraceDoc (no side effects on `sim`).
 TraceDoc make_doc(const proto::Protocol& protocol, std::string scenario,

@@ -1,7 +1,5 @@
 #include "proto/common/cluster.h"
 
-#include <algorithm>
-
 #include "obs/span.h"
 #include "proto/common/client.h"
 #include "proto/common/server.h"
@@ -9,65 +7,7 @@
 
 namespace discs::proto {
 
-ProcessId ClusterView::primary(ObjectId obj) const {
-  return replicas(obj).front();
-}
-
-const std::vector<ProcessId>& ClusterView::replicas(ObjectId obj) const {
-  if (shards.enabled()) return shards.replicas_of(obj);
-  auto it = placement.find(obj);
-  DISCS_CHECK_MSG(it != placement.end(), "object not placed");
-  DISCS_CHECK(!it->second.empty());
-  return it->second;
-}
-
-bool ClusterView::server_stores(ProcessId server, ObjectId obj) const {
-  if (shards.enabled()) return shards.server_stores(server, obj);
-  for (auto s : replicas(obj))
-    if (s == server) return true;
-  return false;
-}
-
-std::vector<ObjectId> ClusterView::objects_at(ProcessId server) const {
-  // Sharded: generated from the hosted shards' key progressions —
-  // O(stored), so building a server's subset never scans the whole key
-  // space (build would otherwise be quadratic at millions of keys).
-  if (shards.enabled()) return shards.objects_at(server);
-  std::vector<ObjectId> out;
-  for (auto obj : objects)
-    if (server_stores(server, obj)) out.push_back(obj);
-  return out;
-}
-
-std::size_t ClusterView::server_index(ProcessId server) const {
-  for (std::size_t i = 0; i < servers.size(); ++i)
-    if (servers[i] == server) return i;
-  DISCS_CHECK_MSG(false, "not a server of this cluster");
-  return 0;
-}
-
-std::vector<ProcessId> ClusterView::primaries_for(
-    const std::vector<ObjectId>& objs) const {
-  std::vector<ProcessId> out;
-  for (auto obj : objs) {
-    ProcessId p = primary(obj);
-    if (std::find(out.begin(), out.end(), p) == out.end()) out.push_back(p);
-  }
-  return out;
-}
-
 ClusterView make_view(const ClusterConfig& cfg, ProcessId first_server) {
-  DISCS_CHECK_MSG(cfg.num_servers >= 2, "the model requires m > 1 servers");
-  DISCS_CHECK_MSG(cfg.num_objects >= cfg.num_servers,
-                  "every server must store at least one object");
-  DISCS_CHECK_MSG(cfg.replication >= 1 &&
-                      cfg.replication <= cfg.num_servers,
-                  "invalid replication factor");
-  // Appendix A: under partial replication no server stores all objects.
-  DISCS_CHECK_MSG(cfg.replication == 1 || cfg.replication < cfg.num_servers ||
-                      cfg.num_objects == cfg.num_servers,
-                  "replication must leave no server storing everything");
-
   ClusterView view;
   view.exactly_once = cfg.exactly_once;
   view.durable_journal = cfg.durable_journal;
@@ -75,26 +15,14 @@ ClusterView make_view(const ClusterConfig& cfg, ProcessId first_server) {
   view.record_spans = cfg.record_spans;
   for (std::size_t s = 0; s < cfg.num_servers; ++s)
     view.servers.push_back(ProcessId(first_server.value() + s));
-
+  // num_shards == 1 is one shard per object: object o on servers
+  // (o + r) mod m, the round-robin layout of Theorem 1's cluster.
+  view.shards = ShardMap::make(
+      cfg.num_shards > 1 ? cfg.num_shards : cfg.num_objects,
+      cfg.replication, view.servers, cfg.num_objects);
   view.objects.reserve(cfg.num_objects);
-  if (cfg.num_shards > 1) {
-    // Sharded regime: placement is computed through the shard map (and
-    // stays empty here) so the view's size is independent of key count.
-    view.shards = ShardMap::make(cfg.num_shards, cfg.replication,
-                                 view.servers, cfg.num_objects);
-    for (std::size_t o = 0; o < cfg.num_objects; ++o)
-      view.objects.push_back(ObjectId(o));
-    return view;
-  }
-
-  for (std::size_t o = 0; o < cfg.num_objects; ++o) {
-    ObjectId obj(o);
-    view.objects.push_back(obj);
-    std::vector<ProcessId> reps;
-    for (std::size_t r = 0; r < cfg.replication; ++r)
-      reps.push_back(view.servers[(o + r) % cfg.num_servers]);
-    view.placement[obj] = std::move(reps);
-  }
+  for (std::size_t o = 0; o < cfg.num_objects; ++o)
+    view.objects.push_back(ObjectId(o));
   return view;
 }
 

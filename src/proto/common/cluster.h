@@ -5,13 +5,12 @@
 // simple model of Theorem 1); with replication > 1 the system is partially
 // replicated (Appendix A): sets overlap but no server stores everything.
 //
-// Two placement regimes (docs/SHARDING.md):
-//  * flat (num_shards == 1, the default): objects are placed round-robin
-//    and enumerated in ClusterView::placement — byte-identical to every
-//    pre-sharding artifact;
-//  * sharded (num_shards > 1): keys route to shards (key mod N) and shards
-//    to replica groups via a ShardMap; placement is computed arithmetically
-//    and never enumerated, so clusters scale to millions of keys.
+// Placement is one ShardMap for every cluster (docs/SHARDING.md): keys
+// route to shards (key mod N) and shards to replica groups, computed
+// arithmetically and never enumerated, so clusters scale to millions of
+// keys.  The default num_shards == 1 means one shard per object (N =
+// num_objects): object o lives on servers (o + r) mod m, the round-robin
+// layout of Theorem 1's cluster and of every pre-sharding artifact.
 #pragma once
 
 #include <map>
@@ -29,12 +28,7 @@ namespace discs::proto {
 struct ClusterView {
   std::vector<ProcessId> servers;
   std::vector<ObjectId> objects;
-  /// object -> replica servers (first entry is the primary).  Enumerated
-  /// only in the flat regime; empty when `shards` is enabled (placement is
-  /// then computed, never stored).
-  std::map<ObjectId, std::vector<ProcessId>> placement;
-  /// Sharded placement (ClusterConfig::num_shards > 1).  Disabled by
-  /// default, in which case every accessor below reads `placement`.
+  /// Placement: answers every accessor below.
   ShardMap shards;
 
   /// Robustness switches, copied from ClusterConfig by make_view so that
@@ -51,33 +45,39 @@ struct ClusterView {
   /// exporter only emits span records when this is set.
   bool record_spans = false;
 
-  ProcessId primary(ObjectId obj) const;
-  const std::vector<ProcessId>& replicas(ObjectId obj) const;
-  bool server_stores(ProcessId server, ObjectId obj) const;
-  std::vector<ObjectId> objects_at(ProcessId server) const;
-  std::size_t server_index(ProcessId server) const;
-
-  /// The distinct primary servers covering `objs` (used by clients to fan
-  /// out requests).
-  std::vector<ProcessId> primaries_for(const std::vector<ObjectId>& objs) const;
+  /// Replica servers of `obj`; the first entry is the primary.
+  const std::vector<ProcessId>& replicas(ObjectId obj) const {
+    return shards.replicas_of(obj);
+  }
+  ProcessId primary(ObjectId obj) const { return replicas(obj).front(); }
+  bool server_stores(ProcessId server, ObjectId obj) const {
+    return shards.server_stores(server, obj);
+  }
+  /// The objects `server` stores, ascending.
+  std::vector<ObjectId> objects_at(ProcessId server) const {
+    return shards.objects_at(server);
+  }
+  std::size_t server_index(ProcessId server) const {
+    return shards.server_index(server);
+  }
 };
 
 struct ClusterConfig {
   std::size_t num_servers = 2;
   std::size_t num_clients = 4;
   std::size_t num_objects = 2;
-  /// Replicas per object.  1 = disjoint placement (Theorem 1 model);
-  /// >1 = partial replication (Appendix A model).  In the sharded regime
-  /// this is the replica-group size R of every shard.
+  /// Replicas per object: the replica-group size R of every shard.
+  /// 1 = disjoint placement (Theorem 1 model); >1 = partial replication
+  /// (Appendix A model).  Must stay below num_servers: no server stores
+  /// everything.
   std::size_t replication = 1;
-  /// Shard count N of the general Appendix A cluster (docs/SHARDING.md).
-  /// 1 (default) keeps the legacy flat round-robin placement and leaves
-  /// every digest, golden and trace artifact byte-identical.  > 1 routes
-  /// key k to shard k mod N; shard s lives on the R consecutive servers
-  /// starting at servers[s mod m] (the first is the primary clients route
-  /// to).  Requires num_shards >= num_servers (every server stores at
-  /// least one shard), replication < num_servers (partial replication: no
-  /// server stores everything) and num_objects >= num_shards.
+  /// Shard count N of the Appendix A cluster (docs/SHARDING.md): key k
+  /// routes to shard k mod N, and shard s lives on the R consecutive
+  /// servers starting at servers[s mod m] (the first is the primary
+  /// clients route to).  1 (default) means one shard per object, the
+  /// round-robin layout of Theorem 1's cluster.  Requires the effective
+  /// shard count to be >= num_servers (every server stores at least one
+  /// shard) and <= num_objects (every shard holds a key).
   std::size_t num_shards = 1;
   /// TrueTime uncertainty half-width for clock-based protocols.
   std::uint64_t tt_epsilon = 5;
@@ -133,8 +133,8 @@ class Protocol {
   virtual bool claims_fast_rot() const = 0;
 
   /// Builds servers (ids 0..m-1), seeds initial values, then creates
-  /// `cfg.num_clients` clients.  Object placement is round-robin with
-  /// `cfg.replication` replicas, or shard-mapped when cfg.num_shards > 1.
+  /// `cfg.num_clients` clients.  Objects are placed by make_view's
+  /// ShardMap.
   Cluster build(sim::Simulation& sim, const ClusterConfig& cfg,
                 IdSource& ids) const;
 
@@ -149,11 +149,14 @@ class Protocol {
       const ClusterConfig& cfg) const = 0;
 };
 
-/// Computes the round-robin placement used by Protocol::build.
+/// The view Protocol::build hands every process: servers numbered from
+/// `first_server` and the ShardMap placing cfg.num_objects objects on them
+/// (one shard per object when cfg.num_shards == 1).  ShardMap::make checks
+/// the model's invariants.
 ClusterView make_view(const ClusterConfig& cfg, ProcessId first_server);
 
-/// Groups objects by their primary server (the shard primary under a
-/// ShardMap), preserving object order — the routing primitive behind every
+/// Groups objects by their primary server (their shard's primary),
+/// preserving object order — the routing primitive behind every
 /// client's fan-out: one message per involved server.  ShardRouter
 /// (proto/common/client.h) layers join bookkeeping on top.
 std::map<ProcessId, std::vector<ObjectId>> group_by_primary(

@@ -68,12 +68,9 @@ void ServerBase::on_crash() {
 }
 
 bool ServerBase::stores(ObjectId obj) const {
-  // Sharded: O(1) residue arithmetic.  The flat scan would make seeding a
-  // million-key shard quadratic (build calls stores() once per seed).
-  if (view_.shards.enabled()) return view_.shards.server_stores(id(), obj);
-  for (auto o : stored_)
-    if (o == obj) return true;
-  return false;
+  // O(1) residue arithmetic: a scan of stored_ would make seeding a
+  // million-key server quadratic (build calls stores() once per seed).
+  return view_.server_stores(id(), obj);
 }
 
 void ServerBase::on_step(sim::StepContext& ctx,

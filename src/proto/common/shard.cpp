@@ -82,7 +82,6 @@ std::vector<ObjectId> ShardMap::objects_at(ProcessId server) const {
 }
 
 std::string ShardMap::str() const {
-  if (!enabled()) return "flat";
   return cat(num_shards_, "x", replicas_, "/m", num_servers_);
 }
 

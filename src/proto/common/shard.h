@@ -1,4 +1,5 @@
-// Sharded, partially-replicated key placement (the Appendix A general model).
+// Key placement: the Appendix A general model, and the only placement DISCS
+// has.
 //
 // The paper's main theorem is proved for clusters of m >= 2 servers where
 // each server stores a non-empty subset of the objects and no server stores
@@ -12,28 +13,32 @@
 // enumerated per-key table, so a 64-shard cluster over millions of keys
 // costs the same metadata as a 2-server cluster over two keys.
 //
-// A default-constructed ShardMap is disabled: ClusterView falls back to the
-// legacy enumerated placement (round-robin per object), which keeps every
-// pre-sharding digest, golden and trace artifact byte-identical.
+// Theorem 1's cluster (Section 2) is the same model with one shard per
+// object: make_view builds N = num_objects when ClusterConfig::num_shards
+// is 1, which places object o on servers (o + r) mod m — the round-robin
+// layout every pre-sharding artifact was recorded on.
 //
 // Invariants established by make() (checked, Section 2 / Appendix A):
 //  * m >= 2 and N >= m          — every server stores at least one shard;
 //  * R >= 1 and R <  m          — partial replication: no server stores
 //                                 every shard, hence not every object;
 //  * num_objects >= N           — every shard holds at least one key.
+// Lookups check that the object id is below num_objects: an object outside
+// the key space is placed nowhere.
 #pragma once
 
 #include <cstddef>
 #include <string>
 #include <vector>
 
+#include "util/check.h"
 #include "util/ids.h"
 
 namespace discs::proto {
 
 class ShardMap {
  public:
-  /// Disabled map (legacy flat placement).
+  /// Empty map: places no object, so every lookup fails its check.
   ShardMap() = default;
 
   /// Builds the map for `num_shards` x `replicas` over `servers` (which
@@ -42,7 +47,6 @@ class ShardMap {
                        const std::vector<ProcessId>& servers,
                        std::size_t num_objects);
 
-  bool enabled() const { return num_shards_ > 0; }
   std::size_t num_shards() const { return num_shards_; }
   std::size_t replicas() const { return replicas_; }
   std::size_t num_servers() const { return num_servers_; }
@@ -50,6 +54,7 @@ class ShardMap {
 
   /// Key routing: the shard storing `obj`.
   std::size_t shard_of(ObjectId obj) const {
+    DISCS_CHECK_MSG(obj.value() < num_objects_, "object not placed");
     return static_cast<std::size_t>(obj.value()) % num_shards_;
   }
 
@@ -72,13 +77,14 @@ class ShardMap {
   /// shard — O(stored objects), never O(total objects x servers).
   std::vector<ObjectId> objects_at(ProcessId server) const;
 
+  /// Position of `server` in the server list (its ids are contiguous).
+  std::size_t server_index(ProcessId server) const;
+
   /// e.g. "64x2/m8" — shards x replicas over m servers (logs, docs).
   std::string str() const;
 
  private:
-  std::size_t server_index(ProcessId server) const;
-
-  std::size_t num_shards_ = 0;  ///< 0 = disabled
+  std::size_t num_shards_ = 0;
   std::size_t replicas_ = 1;
   std::size_t num_servers_ = 0;
   std::size_t num_objects_ = 0;

@@ -7,7 +7,6 @@
 #include <fstream>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -276,7 +275,6 @@ class Engine {
 
  private:
   void build_cluster();
-  void generate_specs();
   void step_station(Station& s, EngineThread& t);
   void route(sim::Message m, EngineThread& t);
   void worker_loop(const std::vector<Station*>& owned, Parker& parker,
@@ -380,17 +378,7 @@ void Engine::build_cluster() {
   // Continue the bootstrap IdSource: the workload mints transaction ids
   // after build minted the initial values, exactly like the sequential
   // driver.
-  Rng rng(wcfg_.seed);
-  std::optional<Zipf> zipf;
-  if (wcfg_.zipf_theta > 0)
-    zipf.emplace(cluster_.view.objects.size(), wcfg_.zipf_theta);
-  specs_.assign(cluster_.clients.size(), {});
-  for (std::size_t i = 0; i < wcfg_.num_txs; ++i) {
-    std::size_t slot = i % cluster_.clients.size();
-    specs_[slot].push_back(wl::next_tx(ids, cluster_, wcfg_,
-                                       protocol_.supports_write_tx(), rng,
-                                       zipf ? &*zipf : nullptr));
-  }
+  specs_ = wl::tx_stream(ids, cluster_, wcfg_, protocol_.supports_write_tx());
 }
 
 void Engine::route(sim::Message m, EngineThread& t) {

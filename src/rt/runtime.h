@@ -108,10 +108,9 @@ struct RunReport {
 
 /// Builds the cluster (proto::Protocol::build on a bootstrap simulation,
 /// then lifts every process out), runs `wcfg`'s transaction stream across
-/// real threads and reports.  The spec stream is generated exactly like
-/// wl::run_workload_sequential (same RNG, same Zipf, same id minting), so
-/// an rt run and a simulator run of the same configuration execute the
-/// same transactions.
+/// real threads and reports.  The stream is wl::tx_stream, the one
+/// wl::run_workload_sequential issues, so an rt run and a simulator run of
+/// the same configuration execute the same transactions.
 RunReport run(const proto::Protocol& protocol,
               const proto::ClusterConfig& ccfg,
               const wl::WorkloadConfig& wcfg, const Options& options = {});

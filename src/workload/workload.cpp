@@ -36,15 +36,29 @@ TxSpec next_tx(IdSource& ids, const Cluster& cluster,
   return ids.read_tx(pick_objects(cfg.read_objects));
 }
 
+std::vector<std::vector<TxSpec>> tx_stream(IdSource& ids,
+                                           const Cluster& cluster,
+                                           const WorkloadConfig& cfg,
+                                           bool allow_multi_write) {
+  Rng rng(cfg.seed);
+  std::optional<Zipf> zipf;
+  if (cfg.zipf_theta > 0)
+    zipf.emplace(cluster.view.objects.size(), cfg.zipf_theta);
+  std::vector<std::vector<TxSpec>> slots(cluster.clients.size());
+  for (std::size_t i = 0; i < cfg.num_txs; ++i)
+    slots[i % slots.size()].push_back(next_tx(ids, cluster, cfg,
+                                              allow_multi_write, rng,
+                                              zipf ? &*zipf : nullptr));
+  return slots;
+}
+
 WorkloadResult run_workload_sequential(sim::Simulation& sim,
                                        const Protocol& proto,
                                        const Cluster& cluster, IdSource& ids,
                                        const WorkloadConfig& cfg) {
   WorkloadResult result;
-  Rng rng(cfg.seed);
-  std::optional<Zipf> zipf;
-  if (cfg.zipf_theta > 0)
-    zipf.emplace(cluster.view.objects.size(), cfg.zipf_theta);
+  const std::vector<std::vector<TxSpec>> specs =
+      tx_stream(ids, cluster, cfg, proto.supports_write_tx());
 
   // Cached typed handles: one dynamic_cast per client per run instead of
   // one per event.  The const handles never un-share a COW'd process, so
@@ -61,13 +75,11 @@ WorkloadResult run_workload_sequential(sim::Simulation& sim,
 
   for (std::size_t i = 0; i < cfg.num_txs; ++i) {
     std::size_t slot = i % cluster.clients.size();
-    ProcessId client = cluster.clients[slot];
-    TxSpec spec = next_tx(ids, cluster, cfg, proto.supports_write_tx(), rng,
-                          zipf ? &*zipf : nullptr);
+    const TxSpec& spec = specs[slot][i / cluster.clients.size()];
 
     TxWindow w;
     w.id = spec.id;
-    w.client = client;
+    w.client = cluster.clients[slot];
     w.read_only = spec.read_only();
     w.trace_begin = sim.trace().size();
     w.spec = spec;

@@ -46,6 +46,18 @@ TxSpec next_tx(IdSource& ids, const Cluster& cluster,
                const WorkloadConfig& cfg, bool allow_multi_write, Rng& rng,
                const Zipf* zipf);
 
+/// The sequential transaction stream, dealt out per client slot: spec i of
+/// `cfg.num_txs`, drawn by next_tx from one Rng(cfg.seed) (and a Zipf over
+/// the objects when cfg.zipf_theta > 0) with ids minted from `ids` in that
+/// order, is element i / n of slot i mod n, n = cluster.clients.size().
+/// run_workload_sequential and rt::run both issue this stream, so the
+/// simulator and the rt backend execute the same transactions for the
+/// same configuration.
+std::vector<std::vector<TxSpec>> tx_stream(IdSource& ids,
+                                           const Cluster& cluster,
+                                           const WorkloadConfig& cfg,
+                                           bool allow_multi_write);
+
 struct TxWindow {
   TxId id;
   ProcessId client;

@@ -95,6 +95,27 @@ TEST(ReproSpecTest, JsonRoundTripPreservesEveryField) {
   EXPECT_EQ(back.plan, spec.plan);
 }
 
+TEST(ReproSpecTest, ShardedSpecKeepsItsTopology) {
+  // chaos_lab --shards campaigns write specs for the sharded layout; the
+  // spec's cluster object must carry every ClusterConfig field a replay
+  // needs, exactly as a trace header does.
+  ReproSpec spec;
+  spec.protocol = "cops";
+  spec.cluster.num_servers = 2;
+  spec.cluster.num_objects = 8;
+  spec.cluster.num_shards = 4;
+  spec.cluster.record_spans = true;
+  spec.cluster.client_retransmit_after = 6;
+  spec.expected = ViolationClass::kLiveness;
+
+  ReproSpec back = ReproSpec::parse(spec.dump());
+  EXPECT_EQ(back.dump(), spec.dump());
+  EXPECT_EQ(back.cluster.num_shards, 4u);
+  EXPECT_EQ(back.cluster.num_objects, 8u);
+  EXPECT_TRUE(back.cluster.record_spans);
+  EXPECT_EQ(back.cluster.client_retransmit_after, 6u);
+}
+
 TEST(ReproSpecTest, FlightFieldRoundTripsAndStaysOptional) {
   ReproSpec spec;
   spec.protocol = "cops";

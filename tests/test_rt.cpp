@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -218,6 +219,44 @@ TEST(RtBackend, AgreesWithSimulatorOracleForEveryProtocol) {
     EXPECT_NE(claimed.verdict, Verdict::kViolation)
         << (claimed.violations.empty() ? ""
                                        : claimed.violations.front().detail);
+  }
+}
+
+TEST(RtBackend, IssuesTheSequentialDriversSpecStream) {
+  // One spec stream for both backends (wl::tx_stream): per client, the rt
+  // run's captured invokes are the specs the sequential driver issues for
+  // the same configuration, in the same order — skewed draws and
+  // multi-object writes included.
+  proto::ClusterConfig ccfg;
+  ccfg.num_servers = 3;
+  ccfg.num_clients = 3;
+  ccfg.num_objects = 6;
+  wl::WorkloadConfig wcfg;
+  wcfg.num_txs = 17;
+  wcfg.write_fraction = 0.5;
+  wcfg.zipf_theta = 0.8;
+  wcfg.seed = 7;
+  rt::Options opts;
+  opts.workers = 2;
+  for (const std::string name : {"cops", "ramp"}) {
+    SCOPED_TRACE(name);
+    auto protocol = proto::protocol_by_name(name);
+    rt::RunReport rep = rt::run(*protocol, ccfg, wcfg, opts);
+    ASSERT_FALSE(rep.timed_out);
+
+    sim::Simulation sim;
+    proto::IdSource ids;
+    proto::Cluster cluster = protocol->build(sim, ccfg, ids);
+    wl::WorkloadResult seq =
+        wl::run_workload_sequential(sim, *protocol, cluster, ids, wcfg);
+
+    std::map<std::uint64_t, std::vector<std::string>> rt_specs, seq_specs;
+    for (const auto& inv : rep.doc.invokes)
+      rt_specs[inv.client.value()].push_back(inv.spec.describe());
+    for (const auto& w : seq.windows)
+      seq_specs[w.client.value()].push_back(w.spec.describe());
+    EXPECT_EQ(rep.doc.invokes.size(), wcfg.num_txs);
+    EXPECT_EQ(rt_specs, seq_specs);
   }
 }
 

@@ -3,11 +3,13 @@
 // Three layers of coverage:
 //  * ShardMap / ShardRouter units: arithmetic placement honors the
 //    Appendix A invariants (every server stores something, no server
-//    stores everything) and the router's join bookkeeping matches the
-//    per-protocol awaiting-sets it absorbed.
-//  * Regime isolation: the default (num_shards == 1) configuration emits
-//    no shard key in trace headers and its artifacts replay exactly as
-//    before; sharded headers round-trip and rebuild the same ShardMap.
+//    stores everything), the default one-shard-per-object cluster matches
+//    the round-robin formula of Theorem 1's cluster, every cluster rejects
+//    object ids outside its key space, and the router's join bookkeeping
+//    matches the per-protocol awaiting-sets it absorbed.
+//  * Trace headers: the default (num_shards == 1) configuration emits no
+//    shard key and its artifacts replay exactly as before; sharded headers
+//    round-trip and rebuild the same ShardMap.
 //  * End to end: every registry protocol runs cross-shard transactions at
 //    shards > servers, holds its claimed consistency level, passes the
 //    Table-1 audit at 64 shards, survives a chaos smoke, and — through the
@@ -27,6 +29,7 @@
 #include "proto/registry.h"
 #include "rt/runtime.h"
 #include "util/check.h"
+#include "util/fmt.h"
 #include "workload/workload.h"
 
 namespace discs {
@@ -65,7 +68,7 @@ TEST(ShardMap, PlacementHonorsAppendixAInvariants) {
   const auto srv = servers(4);
   ShardMap map = ShardMap::make(/*num_shards=*/8, /*replicas=*/2, srv,
                                 /*num_objects=*/32);
-  ASSERT_TRUE(map.enabled());
+  ASSERT_EQ(map.num_shards(), 8u);
   EXPECT_EQ(map.str(), "8x2/m4");
 
   // Key routing is residue arithmetic; the replica group is R consecutive
@@ -129,6 +132,76 @@ TEST(ShardMap, MillionKeyPlacementStaysCheap) {
   // Every key twice (R = 2), split across the 8 servers.
   EXPECT_EQ(total, 2 * kKeys);
   EXPECT_FALSE(map.server_stores(srv[0], ObjectId(1)));  // shard 1 -> s1,s2
+}
+
+TEST(FlatPlacement, DefaultClusterIsTheRoundRobinFormula) {
+  // num_shards == 1 is one shard per object.  Reference, written out:
+  // object o lives on servers (o + r) mod m for r = 0..R-1, primary first.
+  for (std::size_t m : {2, 3, 4, 8}) {
+    for (std::size_t objects : {m, m + 1, 3 * m + 1}) {
+      for (std::size_t r_max = 1; r_max < m; ++r_max) {
+        SCOPED_TRACE(cat("m=", m, " objects=", objects, " R=", r_max));
+        ClusterConfig cfg;
+        cfg.num_servers = m;
+        cfg.num_objects = objects;
+        cfg.replication = r_max;
+        const proto::ClusterView view = proto::make_view(cfg, ProcessId(0));
+        for (std::size_t o = 0; o < objects; ++o) {
+          std::vector<ProcessId> want;
+          for (std::size_t r = 0; r < r_max; ++r)
+            want.push_back(ProcessId((o + r) % m));
+          EXPECT_EQ(view.replicas(ObjectId(o)), want);
+          EXPECT_EQ(view.primary(ObjectId(o)), ProcessId(o % m));
+          for (std::size_t k = 0; k < m; ++k) {
+            const bool stored =
+                std::find(want.begin(), want.end(), ProcessId(k)) !=
+                want.end();
+            EXPECT_EQ(view.server_stores(ProcessId(k), ObjectId(o)), stored);
+          }
+        }
+        for (std::size_t k = 0; k < m; ++k) {
+          std::vector<ObjectId> want;
+          for (std::size_t o = 0; o < objects; ++o)
+            for (std::size_t r = 0; r < r_max; ++r)
+              if ((o + r) % m == k) {
+                want.push_back(ObjectId(o));
+                break;
+              }
+          EXPECT_EQ(view.objects_at(ProcessId(k)), want);
+        }
+      }
+    }
+  }
+}
+
+TEST(FlatPlacement, RejectsFullReplication) {
+  // No server may store everything: ShardMap::make's R < m check covers
+  // the one-shard-per-object cluster too, objects == servers included.
+  ClusterConfig cfg;
+  cfg.num_servers = 3;
+  cfg.num_objects = 3;
+  cfg.replication = 3;
+  EXPECT_THROW(proto::make_view(cfg, ProcessId(0)), CheckFailure);
+}
+
+TEST(Placement, EveryClusterRejectsObjectsOutsideItsKeySpace) {
+  ClusterConfig flat;
+  flat.num_servers = 3;
+  flat.num_objects = 4;
+  flat.replication = 2;
+  ClusterConfig sharded = flat;
+  sharded.num_objects = 16;
+  sharded.num_shards = 8;
+  for (const ClusterConfig& cfg : {flat, sharded}) {
+    SCOPED_TRACE(cat("num_shards=", cfg.num_shards));
+    const proto::ClusterView view = proto::make_view(cfg, ProcessId(0));
+    const ObjectId last(cfg.num_objects - 1);
+    const ObjectId past(cfg.num_objects);
+    EXPECT_NO_THROW(view.replicas(last));
+    EXPECT_THROW(view.replicas(past), CheckFailure);
+    EXPECT_THROW(view.server_stores(view.servers.front(), past),
+                 CheckFailure);
+  }
 }
 
 TEST(ShardRouter, JoinBookkeepingMatchesTheAwaitingSetsItReplaced) {
