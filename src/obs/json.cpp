@@ -1,9 +1,8 @@
 #include "obs/json.h"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
-#include <sstream>
+#include <cstdlib>
 
 #include "util/check.h"
 #include "util/fmt.h"
@@ -53,34 +52,37 @@ const Json& Json::get(std::string_view key) const {
   return *j;
 }
 
-std::string json_quote(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
+void append_uint(std::string& out, std::uint64_t n) {
+  char buf[20];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, n).ptr);
+}
+
+void append_quoted(std::string& out, std::string_view s) {
   out.push_back('"');
-  for (unsigned char c : s) {
+  std::size_t run = 0;  // start of the bytes not yet copied
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s, run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(static_cast<char>(c));
-        }
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        const char esc[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out.append(esc, sizeof esc);
+      }
     }
   }
+  out.append(s, run);
   out.push_back('"');
-  return out;
 }
 
 namespace {
-
-void dump_into(const Json& j, std::string& out);
 
 void dump_double(double d, std::string& out) {
   DISCS_CHECK_MSG(std::isfinite(d), "json: non-finite number");
@@ -97,11 +99,11 @@ void dump_into(const Json& j, std::string& out) {
   } else if (j.is_bool()) {
     out += j.as_bool() ? "true" : "false";
   } else if (j.is_uint()) {
-    out += std::to_string(j.as_uint());
+    append_uint(out, j.as_uint());
   } else if (j.is_double()) {
     dump_double(j.as_double(), out);
   } else if (j.is_string()) {
-    out += json_quote(j.as_string());
+    append_quoted(out, j.as_string());
   } else if (j.is_array()) {
     out.push_back('[');
     bool first = true;
@@ -117,183 +119,13 @@ void dump_into(const Json& j, std::string& out) {
     for (const auto& [k, v] : j.as_object()) {
       if (!first) out.push_back(',');
       first = false;
-      out += json_quote(k);
+      append_quoted(out, k);
       out.push_back(':');
       dump_into(v, out);
     }
     out.push_back('}');
   }
 }
-
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  Json parse_document() {
-    Json j = parse_value();
-    skip_ws();
-    DISCS_CHECK_MSG(pos_ == text_.size(),
-                    "json: trailing characters at offset " << pos_);
-    return j;
-  }
-
- private:
-  std::string_view text_;
-  std::size_t pos_ = 0;
-
-  [[noreturn]] void fail(const std::string& what) {
-    DISCS_CHECK_MSG(false, "json: " << what << " at offset " << pos_);
-    std::abort();  // unreachable; CHECK throws
-  }
-
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  bool consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  void expect(char c) {
-    if (!consume(c)) fail(cat("expected '", c, "'"));
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\n' || text_[pos_] == '\r'))
-      ++pos_;
-  }
-
-  bool consume_word(std::string_view w) {
-    if (text_.substr(pos_, w.size()) == w) {
-      pos_ += w.size();
-      return true;
-    }
-    return false;
-  }
-
-  Json parse_value() {
-    skip_ws();
-    char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
-    if (c == '"') return Json(parse_string());
-    if (consume_word("true")) return Json(true);
-    if (consume_word("false")) return Json(false);
-    if (consume_word("null")) return Json(nullptr);
-    if (c == '-' || (c >= '0' && c <= '9')) return parse_number();
-    fail("unexpected character");
-  }
-
-  Json parse_object() {
-    expect('{');
-    JsonObject obj;
-    skip_ws();
-    if (consume('}')) return Json(std::move(obj));
-    while (true) {
-      skip_ws();
-      std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      obj.emplace_back(std::move(key), parse_value());
-      skip_ws();
-      if (consume(',')) continue;
-      expect('}');
-      return Json(std::move(obj));
-    }
-  }
-
-  Json parse_array() {
-    expect('[');
-    JsonArray arr;
-    skip_ws();
-    if (consume(']')) return Json(std::move(arr));
-    while (true) {
-      arr.push_back(parse_value());
-      skip_ws();
-      if (consume(',')) continue;
-      expect(']');
-      return Json(std::move(arr));
-    }
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("unterminated escape");
-      char e = text_[pos_++];
-      switch (e) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else fail("bad \\u escape");
-          }
-          // The writer only emits \u00xx for control bytes; decode the
-          // low byte and reject the surrogate/multibyte range we never emit.
-          if (code > 0xFF) fail("unsupported \\u escape > 0xFF");
-          out.push_back(static_cast<char>(code));
-          break;
-        }
-        default: fail("bad escape");
-      }
-    }
-  }
-
-  Json parse_number() {
-    std::size_t start = pos_;
-    bool neg = consume('-');
-    bool fractional = false;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_];
-      if (c >= '0' && c <= '9') {
-        ++pos_;
-      } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
-        fractional = true;
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-    std::string_view tok = text_.substr(start, pos_ - start);
-    if (!neg && !fractional) {
-      std::uint64_t u = 0;
-      auto [p, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), u);
-      if (ec == std::errc() && p == tok.data() + tok.size()) return Json(u);
-    }
-    double d = 0;
-    auto [p, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), d);
-    if (ec != std::errc() || p != tok.data() + tok.size()) fail("bad number");
-    return Json(d);
-  }
-};
 
 }  // namespace
 
@@ -304,7 +136,150 @@ std::string Json::dump() const {
 }
 
 Json Json::parse(std::string_view text) {
-  return Parser(text).parse_document();
+  JsonCursor c(text);
+  Json j = c.read_value();
+  c.finish();
+  return j;
+}
+
+// --- JsonCursor --------------------------------------------------------------
+
+void JsonCursor::fail(std::string_view what) const {
+  DISCS_CHECK_MSG(false, "json: " << what << " at offset " << pos_);
+  std::abort();  // unreachable; CHECK throws
+}
+
+void JsonCursor::fail_expected(char c) const {
+  fail(cat("expected '", c, "'"));
+}
+
+std::string_view JsonCursor::read_escaped(std::size_t start) {
+  pos_ = start;
+  decoded_.clear();
+  while (true) {
+    if (pos_ >= text_.size()) fail("unterminated string");
+    char c = text_[pos_++];
+    if (c == '"') return decoded_;
+    if (c != '\\') {
+      decoded_.push_back(c);
+      continue;
+    }
+    if (pos_ >= text_.size()) fail("unterminated escape");
+    char e = text_[pos_++];
+    switch (e) {
+      case '"': decoded_.push_back('"'); break;
+      case '\\': decoded_.push_back('\\'); break;
+      case '/': decoded_.push_back('/'); break;
+      case 'b': decoded_.push_back('\b'); break;
+      case 'f': decoded_.push_back('\f'); break;
+      case 'n': decoded_.push_back('\n'); break;
+      case 'r': decoded_.push_back('\r'); break;
+      case 't': decoded_.push_back('\t'); break;
+      case 'u': {
+        if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
+        unsigned code = 0;
+        for (int i = 0; i < 4; ++i) {
+          char h = text_[pos_++];
+          code <<= 4;
+          if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
+          else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
+          else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
+          else fail("bad \\u escape");
+        }
+        // The writer only emits \u00xx for control bytes; decode the
+        // low byte and reject the surrogate/multibyte range we never emit.
+        if (code > 0xFF) fail("unsupported \\u escape > 0xFF");
+        decoded_.push_back(static_cast<char>(code));
+        break;
+      }
+      default: fail("bad escape");
+    }
+  }
+}
+
+std::string_view JsonCursor::number_token(bool& plain) {
+  const std::size_t start = pos_;
+  plain = !consume('-');
+  while (pos_ < text_.size() && continues_number(text_[pos_])) {
+    if (text_[pos_] < '0' || text_[pos_] > '9') plain = false;
+    ++pos_;
+  }
+  return text_.substr(start, pos_ - start);
+}
+
+std::uint64_t JsonCursor::read_uint_slow() {
+  const char c = peek();
+  if (c == '-' || (c >= '0' && c <= '9')) {
+    bool plain = false;
+    std::string_view tok = number_token(plain);
+    std::uint64_t u = 0;
+    auto [p, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), u);
+    if (plain && ec == std::errc() && p == tok.data() + tok.size()) return u;
+  }
+  fail("not an unsigned integer");
+}
+
+Json JsonCursor::read_number() {
+  std::uint64_t u = 0;
+  if (scan_uint(u)) return Json(u);
+  bool plain = false;
+  std::string_view tok = number_token(plain);
+  if (plain) {
+    auto [p, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), u);
+    if (ec == std::errc() && p == tok.data() + tok.size()) return Json(u);
+  }
+  double d = 0;
+  auto [p, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), d);
+  if (ec != std::errc() || p != tok.data() + tok.size()) fail("bad number");
+  return Json(d);
+}
+
+Json JsonCursor::read_value() {
+  const char c = peek();
+  if (c == '{') {
+    JsonObject obj;
+    for (bool more = begin_object(); more; more = next_member()) {
+      std::string k(key());
+      obj.emplace_back(std::move(k), read_value());
+    }
+    return Json(std::move(obj));
+  }
+  if (c == '[') {
+    JsonArray arr;
+    for (bool more = begin_array(); more; more = next_element())
+      arr.push_back(read_value());
+    return Json(std::move(arr));
+  }
+  if (c == '"') return Json(std::string(read_string()));
+  if (consume_word("true")) return Json(true);
+  if (consume_word("false")) return Json(false);
+  if (consume_word("null")) return Json(nullptr);
+  if (c == '-' || (c >= '0' && c <= '9')) return read_number();
+  fail("unexpected character");
+}
+
+void JsonCursor::skip_value() {
+  const char c = peek();
+  std::uint64_t u = 0;
+  if (c == '{') {
+    for (bool more = begin_object(); more; more = next_member()) {
+      key();
+      skip_value();
+    }
+  } else if (c == '[') {
+    for (bool more = begin_array(); more; more = next_element()) skip_value();
+  } else if (c == '"') {
+    read_string();
+  } else if (!scan_uint(u) && !consume_word("true") &&
+             !consume_word("false") && !consume_word("null")) {
+    if (c != '-' && (c < '0' || c > '9')) fail("unexpected character");
+    read_number();
+  }
+}
+
+void JsonCursor::finish() {
+  skip_ws();
+  if (pos_ != text_.size()) fail("trailing characters");
 }
 
 }  // namespace discs::obs

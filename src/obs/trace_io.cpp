@@ -1,7 +1,10 @@
 #include "obs/trace_io.h"
 
 #include <algorithm>
-#include <sstream>
+#include <array>
+#include <initializer_list>
+#include <optional>
+#include <utility>
 
 #include "fault/session.h"
 #include "obs/json.h"
@@ -170,95 +173,95 @@ ClusterConfig cluster_config_from_json(const Json& j) {
 
 namespace {
 
-Json msg_json(const ExportedMessage& m) {
-  JsonArray values;
-  for (auto v : m.values) values.push_back(Json(v.value()));
-  JsonObject obj{{"id", Json(m.id.value())},
-                 {"src", Json(m.src.value())},
-                 {"dst", Json(m.dst.value())},
-                 {"kind", Json(m.kind)},
-                 {"desc", Json(m.desc)},
-                 {"values", Json(std::move(values))},
-                 {"bytes", Json(m.bytes)}};
+/// Event kinds by wire name: the writer's and the reader's one table.
+constexpr std::pair<sim::Event::Kind, std::string_view> kEventKinds[] = {
+    {sim::Event::Kind::kStep, "step"},
+    {sim::Event::Kind::kDeliver, "deliver"},
+    {sim::Event::Kind::kDrop, "drop"},
+    {sim::Event::Kind::kDuplicate, "dup"},
+    {sim::Event::Kind::kRetransmit, "retransmit"},
+    {sim::Event::Kind::kCrash, "crash"},
+    {sim::Event::Kind::kRestart, "restart"}};
+
+std::string_view event_kind_str(sim::Event::Kind kind) {
+  for (const auto& [k, name] : kEventKinds)
+    if (k == kind) return name;
+  DISCS_CHECK_MSG(false, "trace: unnamed event kind");
+  return {};
+}
+
+std::optional<sim::Event::Kind> event_kind_from(std::string_view name) {
+  for (const auto& [k, n] : kEventKinds)
+    if (n == name) return k;
+  return std::nullopt;
+}
+
+// --- the writer --------------------------------------------------------------
+//
+// Every record but the header is appended straight into the caller's buffer,
+// field by field in the canonical order; no Json tree is built.
+
+/// Appends `[put(e),...]`.
+template <class Range, class Put>
+void append_list(std::string& out, const Range& r, Put put) {
+  out += '[';
+  bool first = true;
+  for (const auto& e : r) {
+    if (!first) out += ',';
+    first = false;
+    put(e);
+  }
+  out += ']';
+}
+
+template <class Range>
+void append_uints(std::string& out, const Range& r) {
+  append_list(out, r, [&](std::uint64_t x) { append_uint(out, x); });
+}
+
+void append_bool(std::string& out, bool b) { out += b ? "true" : "false"; }
+
+void append_msg(std::string& out, const ExportedMessage& m) {
+  out += "{\"id\":";
+  append_uint(out, m.id.value());
+  out += ",\"src\":";
+  append_uint(out, m.src.value());
+  out += ",\"dst\":";
+  append_uint(out, m.dst.value());
+  out += ",\"kind\":";
+  append_quoted(out, m.kind);
+  out += ",\"desc\":";
+  append_quoted(out, m.desc);
+  out += ",\"values\":";
+  append_list(out, m.values, [&](ValueId v) { append_uint(out, v.value()); });
+  out += ",\"bytes\":";
+  append_uint(out, m.bytes);
   // Cause annotations are optional fields: emitted only when non-empty
   // (i.e. only in record_spans captures), so span-free artifacts keep
   // their exact bytes.
   if (!m.req_txs.empty()) {
-    JsonArray a;
-    for (auto tx : m.req_txs) a.push_back(Json(tx));
-    obj.emplace_back("rotreq", Json(std::move(a)));
+    out += ",\"rotreq\":";
+    append_uints(out, m.req_txs);
   }
   if (!m.rep_txs.empty()) {
-    JsonArray a;
-    for (auto tx : m.rep_txs) a.push_back(Json(tx));
-    obj.emplace_back("rotrep", Json(std::move(a)));
+    out += ",\"rotrep\":";
+    append_uints(out, m.rep_txs);
   }
   if (!m.req_objs.empty()) {
-    JsonArray a;
-    for (const auto& [tx, o] : m.req_objs)
-      a.push_back(Json(JsonArray{Json(tx), Json(o)}));
-    obj.emplace_back("rotobjs", Json(std::move(a)));
+    out += ",\"rotobjs\":";
+    append_list(out, m.req_objs, [&](const auto& p) {
+      append_uints(out, std::array{p.first, p.second});
+    });
   }
   if (!m.reads.empty()) {
-    JsonArray a;
-    for (const auto& r : m.reads)
-      a.push_back(Json(JsonArray{Json(r[0]), Json(r[1]), Json(r[2])}));
-    obj.emplace_back("rotvals", Json(std::move(a)));
+    out += ",\"rotvals\":";
+    append_list(out, m.reads, [&](const auto& r) { append_uints(out, r); });
   }
-  return Json(std::move(obj));
+  out += '}';
 }
 
-ExportedMessage msg_from_json(const Json& j) {
-  ExportedMessage m;
-  m.id = MsgId(j.get("id").as_uint());
-  m.src = ProcessId(j.get("src").as_uint());
-  m.dst = ProcessId(j.get("dst").as_uint());
-  m.kind = j.get("kind").as_string();
-  m.desc = j.get("desc").as_string();
-  for (const auto& v : j.get("values").as_array())
-    m.values.push_back(ValueId(v.as_uint()));
-  m.bytes = j.get("bytes").as_uint();
-  if (const Json* a = j.find("rotreq"))
-    for (const auto& tx : a->as_array()) m.req_txs.push_back(tx.as_uint());
-  if (const Json* a = j.find("rotrep"))
-    for (const auto& tx : a->as_array()) m.rep_txs.push_back(tx.as_uint());
-  if (const Json* a = j.find("rotobjs"))
-    for (const auto& pair : a->as_array()) {
-      const auto& kv = pair.as_array();
-      DISCS_CHECK_MSG(kv.size() == 2, "trace: malformed rotobjs pair");
-      m.req_objs.emplace_back(kv[0].as_uint(), kv[1].as_uint());
-    }
-  if (const Json* a = j.find("rotvals"))
-    for (const auto& triple : a->as_array()) {
-      const auto& kv = triple.as_array();
-      DISCS_CHECK_MSG(kv.size() == 3, "trace: malformed rotvals triple");
-      m.reads.push_back({kv[0].as_uint(), kv[1].as_uint(), kv[2].as_uint()});
-    }
-  return m;
-}
-
-Json tx_spec_json(const TxSpec& spec) {
-  JsonArray reads, writes;
-  for (auto obj : spec.read_set) reads.push_back(Json(obj.value()));
-  for (const auto& [obj, v] : spec.write_set)
-    writes.push_back(Json(JsonArray{Json(obj.value()), Json(v.value())}));
-  return Json(JsonObject{{"id", Json(spec.id.value())},
-                         {"reads", Json(std::move(reads))},
-                         {"writes", Json(std::move(writes))}});
-}
-
-TxSpec tx_spec_from_json(const Json& j) {
-  TxSpec spec;
-  spec.id = TxId(j.get("id").as_uint());
-  for (const auto& o : j.get("reads").as_array())
-    spec.read_set.push_back(ObjectId(o.as_uint()));
-  for (const auto& w : j.get("writes").as_array()) {
-    const auto& pair = w.as_array();
-    DISCS_CHECK_MSG(pair.size() == 2, "trace: malformed write pair");
-    spec.write_set.emplace_back(ObjectId(pair[0].as_uint()),
-                                ValueId(pair[1].as_uint()));
-  }
-  return spec;
+void append_msgs(std::string& out, const std::vector<ExportedMessage>& ms) {
+  append_list(out, ms, [&](const ExportedMessage& m) { append_msg(out, m); });
 }
 
 Json header_json(const TraceDoc& doc) {
@@ -274,98 +277,530 @@ Json header_json(const TraceDoc& doc) {
       {"initial", Json(std::move(initial))}});
 }
 
-Json event_json(const ExportedEvent& e) {
-  JsonObject obj{{"record", Json("event")}, {"seq", Json(e.seq)}};
-  if (e.event.kind == sim::Event::Kind::kStep) {
-    obj.emplace_back("kind", Json("step"));
-    obj.emplace_back("process", Json(e.event.process.value()));
-    JsonArray consumed, sent;
-    for (const auto& m : e.consumed) consumed.push_back(msg_json(m));
-    for (const auto& m : e.sent) sent.push_back(msg_json(m));
-    obj.emplace_back("consumed", Json(std::move(consumed)));
-    obj.emplace_back("sent", Json(std::move(sent)));
-  } else if (e.event.kind == sim::Event::Kind::kCrash) {
-    obj.emplace_back("kind", Json("crash"));
-    obj.emplace_back("process", Json(e.event.process.value()));
-    obj.emplace_back("lossy", Json(e.event.lossy));
-  } else if (e.event.kind == sim::Event::Kind::kRestart) {
-    obj.emplace_back("kind", Json("restart"));
-    obj.emplace_back("process", Json(e.event.process.value()));
-  } else {
-    // deliver / drop / dup / retransmit: one affected message each.
-    std::string_view kind;
-    switch (e.event.kind) {
-      case sim::Event::Kind::kDeliver: kind = "deliver"; break;
-      case sim::Event::Kind::kDrop: kind = "drop"; break;
-      case sim::Event::Kind::kDuplicate: kind = "dup"; break;
-      default: kind = "retransmit"; break;
+void append_invoke_line(std::string& out, const InvokeRecord& inv) {
+  out += "{\"record\":\"invoke\",\"at\":";
+  append_uint(out, inv.at);
+  out += ",\"client\":";
+  append_uint(out, inv.client.value());
+  out += ",\"tx\":{\"id\":";
+  append_uint(out, inv.spec.id.value());
+  out += ",\"reads\":";
+  append_list(out, inv.spec.read_set,
+              [&](ObjectId o) { append_uint(out, o.value()); });
+  out += ",\"writes\":";
+  append_list(out, inv.spec.write_set, [&](const auto& w) {
+    append_uints(out, std::array{w.first.value(), w.second.value()});
+  });
+  out += "}}";
+}
+
+void append_span_line(std::string& out, const SpanNote& s) {
+  out += "{\"record\":\"span\",\"kind\":";
+  append_quoted(out, span_kind_str(s.kind));
+  out += ",\"tx\":";
+  append_uint(out, s.tx);
+  out += ",\"proc\":";
+  append_uint(out, s.proc);
+  out += ",\"at\":";
+  append_uint(out, s.at);
+  out += ",\"round\":";
+  append_uint(out, s.round);
+  out += '}';
+}
+
+void append_tx_line(std::string& out, const hist::TxRecord& t) {
+  out += "{\"record\":\"tx\",\"id\":";
+  append_uint(out, t.id.value());
+  out += ",\"client\":";
+  append_uint(out, t.client.value());
+  out += ",\"invoked\":";
+  append_bool(out, t.invoked);
+  out += ",\"completed\":";
+  append_bool(out, t.completed);
+  out += ",\"invoke_seq\":";
+  append_uint(out, t.invoke_seq);
+  out += ",\"complete_seq\":";
+  append_uint(out, t.complete_seq);
+  out += ",\"reads\":";
+  append_list(out, t.reads, [&](const hist::ReadOp& r) {
+    out += "{\"object\":";
+    append_uint(out, r.object.value());
+    out += ",\"value\":";
+    if (r.responded)
+      append_uint(out, r.value.value());
+    else
+      out += "null";
+    out += ",\"responded\":";
+    append_bool(out, r.responded);
+    out += '}';
+  });
+  out += ",\"writes\":";
+  append_list(out, t.writes, [&](const hist::WriteOp& w) {
+    out += "{\"object\":";
+    append_uint(out, w.object.value());
+    out += ",\"value\":";
+    append_uint(out, w.value.value());
+    out += ",\"acked\":";
+    append_bool(out, w.acked);
+    out += '}';
+  });
+  out += '}';
+}
+
+// --- the reader --------------------------------------------------------------
+//
+// Every record but the header is pulled straight from a JsonCursor into the
+// TraceDoc; no Json tree is built.  The accepted texts are those a tree
+// reader accepts: members in any order, unknown members skipped, the first
+// of a duplicated key read.
+
+/// Walks one object's members for a typed reader that knows them by the
+/// names in `names`.  next() returns the index in `names` of the next
+/// member, whose value the caller then reads; it skips the value of any
+/// member whose key is not in `names` or was already read, so a duplicated
+/// key keeps its first value.  It returns -1 past the last member.
+class Members {
+ public:
+  template <std::size_t N>
+  Members(JsonCursor& c, const std::string_view (&names)[N])
+      : c_(c), names_(names), n_(N), more_(c.begin_object()) {
+    static_assert(N <= 32, "one bit per name");
+  }
+
+  int next() {
+    if (claimed_) {
+      claimed_ = false;
+      more_ = c_.next_member();
     }
-    obj.emplace_back("kind", Json(std::string(kind)));
-    DISCS_CHECK_MSG(e.delivered.has_value(),
-                    "trace: " << kind << " event without message");
-    obj.emplace_back("msg", msg_json(*e.delivered));
+    for (; more_; more_ = c_.next_member()) {
+      // In the writer's field order the next member is the name after the
+      // last one read.
+      const int i = guess_ < n_ && c_.key_is(names_[guess_])
+                        ? static_cast<int>(guess_)
+                        : index_of(c_.key());
+      if (i >= 0 && !(read_ >> i & 1)) {
+        read_ |= 1u << i;
+        guess_ = static_cast<std::size_t>(i) + 1;
+        claimed_ = true;
+        return i;
+      }
+      c_.skip_value();
+    }
+    return -1;
   }
-  return Json(std::move(obj));
+
+  /// Fails naming the first of `fields` that no member supplied.
+  void require(std::initializer_list<int> fields) const {
+    for (int i : fields)
+      DISCS_CHECK_MSG(read_ >> i & 1,
+                      "json: missing field '" << names_[i] << "'");
+  }
+
+ private:
+  JsonCursor& c_;
+  const std::string_view* names_;
+  std::size_t n_;
+  bool more_;
+  bool claimed_ = false;
+  std::uint32_t read_ = 0;  ///< bit i: names_[i] was read
+  std::size_t guess_ = 0;
+
+  int index_of(std::string_view key) const {
+    for (std::size_t i = 0; i < n_; ++i)
+      if (names_[i] == key) return static_cast<int>(i);
+    return -1;
+  }
+};
+
+/// Reads an array, calling `element()` to read each element.
+template <class Element>
+void read_list(JsonCursor& c, Element element) {
+  for (bool more = c.begin_array(); more; more = c.next_element()) element();
 }
 
-Json tx_json(const hist::TxRecord& t) {
-  JsonArray reads, writes;
-  for (const auto& r : t.reads)
-    reads.push_back(Json(JsonObject{
-        {"object", Json(r.object.value())},
-        {"value", r.responded ? Json(r.value.value()) : Json(nullptr)},
-        {"responded", Json(r.responded)}}));
-  for (const auto& w : t.writes)
-    writes.push_back(Json(JsonObject{{"object", Json(w.object.value())},
-                                     {"value", Json(w.value.value())},
-                                     {"acked", Json(w.acked)}}));
-  return Json(JsonObject{{"record", Json("tx")},
-                         {"id", Json(t.id.value())},
-                         {"client", Json(t.client.value())},
-                         {"invoked", Json(t.invoked)},
-                         {"completed", Json(t.completed)},
-                         {"invoke_seq", Json(t.invoke_seq)},
-                         {"complete_seq", Json(t.complete_seq)},
-                         {"reads", Json(std::move(reads))},
-                         {"writes", Json(std::move(writes))}});
+/// Reads an array of exactly N unsigned integers ("write pair" and such).
+template <std::size_t N>
+std::array<std::uint64_t, N> read_tuple(JsonCursor& c, std::string_view what) {
+  std::array<std::uint64_t, N> out{};
+  std::size_t n = 0;
+  read_list(c, [&] {
+    DISCS_CHECK_MSG(n < N, "trace: malformed " << what);
+    out[n++] = c.read_uint();
+  });
+  DISCS_CHECK_MSG(n == N, "trace: malformed " << what);
+  return out;
 }
 
-hist::TxRecord tx_from_json(const Json& j) {
+/// The string value of the first top-level member named `key` of the object
+/// in `line`, read only as far as that member.
+std::string first_string_member(std::string_view line, std::string_view key) {
+  JsonCursor c(line);
+  for (bool more = c.begin_object(); more; more = c.next_member()) {
+    if (c.key_is(key) || c.key() == key) return std::string(c.read_string());
+    c.skip_value();
+  }
+  DISCS_CHECK_MSG(false, "json: missing field '" << key << "'");
+  return {};
+}
+
+void read_msg(JsonCursor& c, ExportedMessage& m) {
+  enum { kId, kSrc, kDst, kKind, kDesc, kValues, kBytes, kRotReq, kRotRep,
+         kRotObjs, kRotVals };
+  static constexpr std::string_view kFields[] = {
+      "id",     "src",    "dst",    "kind",    "desc",   "values",
+      "bytes",  "rotreq", "rotrep", "rotobjs", "rotvals"};
+  Members f(c, kFields);
+  for (int field; (field = f.next()) >= 0;) {
+    switch (field) {
+      case kId: m.id = MsgId(c.read_uint()); break;
+      case kSrc: m.src = ProcessId(c.read_uint()); break;
+      case kDst: m.dst = ProcessId(c.read_uint()); break;
+      case kKind: m.kind = c.read_string(); break;
+      case kDesc: m.desc = c.read_string(); break;
+      case kValues:
+        read_list(c, [&] { m.values.emplace_back(c.read_uint()); });
+        break;
+      case kBytes: m.bytes = c.read_uint(); break;
+      case kRotReq:
+        read_list(c, [&] { m.req_txs.push_back(c.read_uint()); });
+        break;
+      case kRotRep:
+        read_list(c, [&] { m.rep_txs.push_back(c.read_uint()); });
+        break;
+      case kRotObjs:
+        read_list(c, [&] {
+          auto [tx, obj] = read_tuple<2>(c, "rotobjs pair");
+          m.req_objs.emplace_back(tx, obj);
+        });
+        break;
+      case kRotVals:
+        read_list(c, [&] {
+          m.reads.push_back(read_tuple<3>(c, "rotvals triple"));
+        });
+        break;
+    }
+  }
+  f.require({kId, kSrc, kDst, kKind, kDesc, kValues, kBytes});
+}
+
+void read_msgs(JsonCursor& c, std::vector<ExportedMessage>& out) {
+  read_list(c, [&] { read_msg(c, out.emplace_back()); });
+}
+
+TxSpec read_tx_spec(JsonCursor& c) {
+  enum { kId, kReads, kWrites };
+  TxSpec spec;
+  static constexpr std::string_view kFields[] = {"id", "reads", "writes"};
+  Members f(c, kFields);
+  for (int field; (field = f.next()) >= 0;) {
+    switch (field) {
+      case kId: spec.id = TxId(c.read_uint()); break;
+      case kReads:
+        read_list(c, [&] { spec.read_set.emplace_back(c.read_uint()); });
+        break;
+      case kWrites:
+        read_list(c, [&] {
+          auto [obj, v] = read_tuple<2>(c, "write pair");
+          spec.write_set.emplace_back(ObjectId(obj), ValueId(v));
+        });
+        break;
+    }
+  }
+  f.require({kId, kReads, kWrites});
+  return spec;
+}
+
+hist::ReadOp read_read_op(JsonCursor& c) {
+  enum { kObject, kValue, kResponded };
+  hist::ReadOp op;
+  Json value;  // typed only once the read is known to have responded
+  static constexpr std::string_view kFields[] = {"object", "value",
+                                                  "responded"};
+  Members f(c, kFields);
+  for (int field; (field = f.next()) >= 0;) {
+    switch (field) {
+      case kObject: op.object = ObjectId(c.read_uint()); break;
+      case kValue: value = c.read_value(); break;
+      case kResponded: op.responded = c.read_bool(); break;
+    }
+  }
+  f.require({kObject, kResponded});
+  if (op.responded) {
+    f.require({kValue});
+    op.value = ValueId(value.as_uint());
+  }
+  return op;
+}
+
+hist::WriteOp read_write_op(JsonCursor& c) {
+  enum { kObject, kValue, kAcked };
+  hist::WriteOp w;
+  static constexpr std::string_view kFields[] = {"object", "value", "acked"};
+  Members f(c, kFields);
+  for (int field; (field = f.next()) >= 0;) {
+    switch (field) {
+      case kObject: w.object = ObjectId(c.read_uint()); break;
+      case kValue: w.value = ValueId(c.read_uint()); break;
+      case kAcked: w.acked = c.read_bool(); break;
+    }
+  }
+  f.require({kObject, kValue, kAcked});
+  return w;
+}
+
+hist::TxRecord read_tx(JsonCursor& c) {
+  enum { kId, kClient, kInvoked, kCompleted, kInvokeSeq, kCompleteSeq,
+         kReads, kWrites };
   hist::TxRecord t;
-  t.id = TxId(j.get("id").as_uint());
-  t.client = ProcessId(j.get("client").as_uint());
-  t.invoked = j.get("invoked").as_bool();
-  t.completed = j.get("completed").as_bool();
-  t.invoke_seq = j.get("invoke_seq").as_uint();
-  t.complete_seq = j.get("complete_seq").as_uint();
-  for (const auto& r : j.get("reads").as_array()) {
-    hist::ReadOp op;
-    op.object = ObjectId(r.get("object").as_uint());
-    op.responded = r.get("responded").as_bool();
-    if (op.responded) op.value = ValueId(r.get("value").as_uint());
-    t.reads.push_back(op);
+  static constexpr std::string_view kFields[] = {
+      "id",         "client",       "invoked", "completed",
+      "invoke_seq", "complete_seq", "reads",   "writes"};
+  Members f(c, kFields);
+  for (int field; (field = f.next()) >= 0;) {
+    switch (field) {
+      case kId: t.id = TxId(c.read_uint()); break;
+      case kClient: t.client = ProcessId(c.read_uint()); break;
+      case kInvoked: t.invoked = c.read_bool(); break;
+      case kCompleted: t.completed = c.read_bool(); break;
+      case kInvokeSeq: t.invoke_seq = c.read_uint(); break;
+      case kCompleteSeq: t.complete_seq = c.read_uint(); break;
+      case kReads:
+        read_list(c, [&] { t.reads.push_back(read_read_op(c)); });
+        break;
+      case kWrites:
+        read_list(c, [&] { t.writes.push_back(read_write_op(c)); });
+        break;
+    }
   }
-  for (const auto& w : j.get("writes").as_array())
-    t.writes.push_back({ObjectId(w.get("object").as_uint()),
-                        ValueId(w.get("value").as_uint()),
-                        w.get("acked").as_bool()});
+  f.require({kId, kClient, kInvoked, kCompleted, kInvokeSeq, kCompleteSeq,
+             kReads, kWrites});
   return t;
 }
 
+/// Reads an artifact line by line into one TraceDoc.
+class Importer {
+ public:
+  void line(std::string_view line) {
+    DISCS_CHECK_MSG(!saw_footer_, "trace: record after footer");
+    const std::string name = first_string_member(line, "record");
+    const std::string_view record = name;
+    if (record == "header") return header(line);
+    DISCS_CHECK_MSG(saw_header_, "trace: first record must be the header");
+    JsonCursor c(line);
+    if (record == "invoke") {
+      invoke(c);
+    } else if (record == "event") {
+      event(line, c);
+    } else if (record == "span") {
+      span(c);
+    } else if (record == "tx") {
+      doc_.history.add(read_tx(c));
+    } else if (record == "footer") {
+      footer(c);
+    } else {
+      DISCS_CHECK_MSG(false, "trace: unknown record '" << record << "'");
+    }
+    c.finish();
+  }
+
+  TraceDoc finish() {
+    DISCS_CHECK_MSG(saw_header_, "trace: missing header");
+    DISCS_CHECK_MSG(saw_footer_, "trace: missing footer");
+    return std::move(doc_);
+  }
+
+ private:
+  TraceDoc doc_;
+  bool saw_header_ = false;
+  bool saw_footer_ = false;
+
+  void header(std::string_view line) {
+    DISCS_CHECK_MSG(!saw_header_, "trace: duplicate header");
+    saw_header_ = true;
+    const Json j = Json::parse(line);
+    doc_.schema = j.get("schema").as_string();
+    DISCS_CHECK_MSG(
+        doc_.schema == kTraceSchema || doc_.schema == kTraceSchemaV2,
+        "trace: unsupported schema '" << doc_.schema << "' (expected "
+                                      << kTraceSchema << " or "
+                                      << kTraceSchemaV2 << ")");
+    doc_.protocol = j.get("protocol").as_string();
+    doc_.scenario = j.get("scenario").as_string();
+    doc_.cluster = cluster_config_from_json(j.get("cluster"));
+    for (const auto& pair : j.get("initial").as_array()) {
+      const auto& kv = pair.as_array();
+      DISCS_CHECK_MSG(kv.size() == 2, "trace: malformed initial pair");
+      doc_.initial[ObjectId(kv[0].as_uint())] = ValueId(kv[1].as_uint());
+      doc_.history.set_initial(ObjectId(kv[0].as_uint()),
+                               ValueId(kv[1].as_uint()));
+    }
+  }
+
+  void invoke(JsonCursor& c) {
+    enum { kAt, kClient, kTx };
+    InvokeRecord& inv = doc_.invokes.emplace_back();
+    static constexpr std::string_view kFields[] = {"at", "client", "tx"};
+    Members f(c, kFields);
+    for (int field; (field = f.next()) >= 0;) {
+      switch (field) {
+        case kAt: inv.at = c.read_uint(); break;
+        case kClient: inv.client = ProcessId(c.read_uint()); break;
+        case kTx: inv.spec = read_tx_spec(c); break;
+      }
+    }
+    f.require({kAt, kClient, kTx});
+  }
+
+  // Which members an event reads depends on its kind, so the kind is read
+  // first, wherever the line puts it.
+  void event(std::string_view line, JsonCursor& c) {
+    const std::string name = first_string_member(line, "kind");
+    const std::optional<sim::Event::Kind> kind = event_kind_from(name);
+    // Every kind but step and deliver is a v2 fault event.
+    if (kind != sim::Event::Kind::kStep && kind != sim::Event::Kind::kDeliver)
+      DISCS_CHECK_MSG(doc_.schema == kTraceSchemaV2,
+                      "trace: fault event '" << name << "' under a "
+                                             << doc_.schema << " header");
+    DISCS_CHECK_MSG(kind, "trace: unknown event kind '" << name << "'");
+    const bool step = kind == sim::Event::Kind::kStep;
+    const bool crash = kind == sim::Event::Kind::kCrash;
+    const bool names_process =
+        step || crash || kind == sim::Event::Kind::kRestart;
+
+    enum { kSeq, kProcess, kConsumed, kSent, kMsg, kLossy };
+    // Filled in place: a rejected line aborts the whole import anyway.
+    ExportedEvent& e = doc_.events.emplace_back();
+    ProcessId process;
+    bool lossy = false;
+    static constexpr std::string_view kFields[] = {
+        "seq", "process", "consumed", "sent", "msg", "lossy"};
+    Members f(c, kFields);
+    for (int field; (field = f.next()) >= 0;) {
+      // A member this kind does not use is skipped unread.
+      switch (field) {
+        case kSeq: e.seq = c.read_uint(); break;
+        case kProcess:
+          if (names_process) process = ProcessId(c.read_uint());
+          else c.skip_value();
+          break;
+        case kConsumed:
+          if (step) read_msgs(c, e.consumed);
+          else c.skip_value();
+          break;
+        case kSent:
+          if (step) read_msgs(c, e.sent);
+          else c.skip_value();
+          break;
+        case kMsg:
+          if (!names_process) read_msg(c, e.delivered.emplace());
+          else c.skip_value();
+          break;
+        case kLossy:
+          if (crash) lossy = c.read_bool();
+          else c.skip_value();
+          break;
+      }
+    }
+    f.require({kSeq});
+    if (step) f.require({kProcess, kConsumed, kSent});
+    if (crash) f.require({kProcess, kLossy});
+    if (names_process) {
+      f.require({kProcess});
+      e.event = sim::Event{*kind, process, MsgId::invalid(), lossy};
+    } else {
+      // deliver / drop / dup / retransmit: one affected message each.
+      f.require({kMsg});
+      e.event = sim::Event{*kind, ProcessId::invalid(), e.delivered->id};
+    }
+    DISCS_CHECK_MSG(e.seq + 1 == doc_.events.size(),
+                    "trace: event seq " << e.seq << " out of order");
+  }
+
+  void span(JsonCursor& c) {
+    DISCS_CHECK_MSG(doc_.cluster.record_spans,
+                    "trace: span record without record_spans in header");
+    enum { kKind, kTx, kProc, kAt, kRound };
+    SpanNote& s = doc_.spans.emplace_back();
+    static constexpr std::string_view kFields[] = {"kind", "tx", "proc", "at",
+                                                    "round"};
+    Members f(c, kFields);
+    for (int field; (field = f.next()) >= 0;) {
+      switch (field) {
+        case kKind: s.kind = span_kind_from(c.read_string()); break;
+        case kTx: s.tx = c.read_uint(); break;
+        case kProc: s.proc = c.read_uint(); break;
+        case kAt: s.at = c.read_uint(); break;
+        case kRound: s.round = c.read_uint(); break;
+      }
+    }
+    f.require({kKind, kTx, kProc, kAt, kRound});
+  }
+
+  void footer(JsonCursor& c) {
+    enum { kEvents, kFinalDigest };
+    std::uint64_t events = 0;
+    static constexpr std::string_view kFields[] = {"events", "final_digest"};
+    Members f(c, kFields);
+    for (int field; (field = f.next()) >= 0;) {
+      switch (field) {
+        case kEvents: events = c.read_uint(); break;
+        case kFinalDigest: doc_.final_digest = c.read_string(); break;
+      }
+    }
+    f.require({kEvents, kFinalDigest});
+    DISCS_CHECK_MSG(events == doc_.events.size(),
+                    "trace: footer event count mismatch");
+    saw_footer_ = true;
+  }
+};
+
 }  // namespace
 
-std::string event_line(const ExportedEvent& e) { return event_json(e).dump(); }
+void append_event_line(std::string& out, const ExportedEvent& e) {
+  out += "{\"record\":\"event\",\"seq\":";
+  append_uint(out, e.seq);
+  const std::string_view kind = event_kind_str(e.event.kind);
+  out += ",\"kind\":\"";
+  out += kind;
+  out += '"';
+  switch (e.event.kind) {
+    case sim::Event::Kind::kStep:
+      out += ",\"process\":";
+      append_uint(out, e.event.process.value());
+      out += ",\"consumed\":";
+      append_msgs(out, e.consumed);
+      out += ",\"sent\":";
+      append_msgs(out, e.sent);
+      break;
+    case sim::Event::Kind::kCrash:
+      out += ",\"process\":";
+      append_uint(out, e.event.process.value());
+      out += ",\"lossy\":";
+      append_bool(out, e.event.lossy);
+      break;
+    case sim::Event::Kind::kRestart:
+      out += ",\"process\":";
+      append_uint(out, e.event.process.value());
+      break;
+    case sim::Event::Kind::kDeliver:
+    case sim::Event::Kind::kDrop:
+    case sim::Event::Kind::kDuplicate:
+    case sim::Event::Kind::kRetransmit:
+      // One affected message each.
+      DISCS_CHECK_MSG(e.delivered.has_value(),
+                      "trace: " << kind << " event without message");
+      out += ",\"msg\":";
+      append_msg(out, *e.delivered);
+      break;
+  }
+  out += '}';
+}
 
 std::string export_prefix_jsonl(const TraceDoc& doc) {
-  std::string out;
-  out += header_json(doc).dump();
+  std::string out = header_json(doc).dump();
   out += '\n';
   for (const auto& inv : doc.invokes) {
-    out += Json(JsonObject{{"record", Json("invoke")},
-                           {"at", Json(inv.at)},
-                           {"client", Json(inv.client.value())},
-                           {"tx", tx_spec_json(inv.spec)}})
-               .dump();
+    append_invoke_line(out, inv);
     out += '\n';
   }
   return out;
@@ -374,31 +809,25 @@ std::string export_prefix_jsonl(const TraceDoc& doc) {
 std::string export_suffix_jsonl(const TraceDoc& doc, std::uint64_t events) {
   std::string out;
   for (const auto& s : doc.spans) {
-    out += Json(JsonObject{{"record", Json("span")},
-                           {"kind", Json(std::string(span_kind_str(s.kind)))},
-                           {"tx", Json(s.tx)},
-                           {"proc", Json(s.proc)},
-                           {"at", Json(s.at)},
-                           {"round", Json(s.round)}})
-               .dump();
+    append_span_line(out, s);
     out += '\n';
   }
   for (const auto& t : doc.history.txs()) {
-    out += tx_json(t).dump();
+    append_tx_line(out, t);
     out += '\n';
   }
-  out += Json(JsonObject{{"record", Json("footer")},
-                         {"events", Json(events)},
-                         {"final_digest", Json(doc.final_digest)}})
-             .dump();
-  out += '\n';
+  out += "{\"record\":\"footer\",\"events\":";
+  append_uint(out, events);
+  out += ",\"final_digest\":";
+  append_quoted(out, doc.final_digest);
+  out += "}\n";
   return out;
 }
 
 std::string export_jsonl(const TraceDoc& doc) {
   std::string out = export_prefix_jsonl(doc);
   for (const auto& e : doc.events) {
-    out += event_line(e);
+    append_event_line(out, e);
     out += '\n';
   }
   out += export_suffix_jsonl(doc, doc.events.size());
@@ -406,8 +835,7 @@ std::string export_jsonl(const TraceDoc& doc) {
 }
 
 TraceDoc import_jsonl(std::string_view text) {
-  TraceDoc doc;
-  bool saw_header = false, saw_footer = false;
+  Importer in;
   std::size_t line_no = 0;
   std::size_t pos = 0;
   while (pos < text.size()) {
@@ -417,104 +845,13 @@ TraceDoc import_jsonl(std::string_view text) {
     pos = eol + 1;
     ++line_no;
     if (line.empty()) continue;
-    Json j;
     try {
-      j = Json::parse(line);
+      in.line(line);
     } catch (const CheckFailure& e) {
       DISCS_CHECK_MSG(false, "trace line " << line_no << ": " << e.what());
     }
-    const std::string& record = j.get("record").as_string();
-    if (record == "header") {
-      DISCS_CHECK_MSG(!saw_header, "trace: duplicate header");
-      saw_header = true;
-      doc.schema = j.get("schema").as_string();
-      DISCS_CHECK_MSG(
-          doc.schema == kTraceSchema || doc.schema == kTraceSchemaV2,
-          "trace: unsupported schema '" << doc.schema << "' (expected "
-                                        << kTraceSchema << " or "
-                                        << kTraceSchemaV2 << ")");
-      doc.protocol = j.get("protocol").as_string();
-      doc.scenario = j.get("scenario").as_string();
-      doc.cluster = cluster_config_from_json(j.get("cluster"));
-      for (const auto& pair : j.get("initial").as_array()) {
-        const auto& kv = pair.as_array();
-        DISCS_CHECK_MSG(kv.size() == 2, "trace: malformed initial pair");
-        doc.initial[ObjectId(kv[0].as_uint())] = ValueId(kv[1].as_uint());
-        doc.history.set_initial(ObjectId(kv[0].as_uint()),
-                                ValueId(kv[1].as_uint()));
-      }
-      continue;
-    }
-    DISCS_CHECK_MSG(saw_header, "trace: first record must be the header");
-    if (record == "invoke") {
-      InvokeRecord inv;
-      inv.at = j.get("at").as_uint();
-      inv.client = ProcessId(j.get("client").as_uint());
-      inv.spec = tx_spec_from_json(j.get("tx"));
-      doc.invokes.push_back(std::move(inv));
-    } else if (record == "event") {
-      ExportedEvent e;
-      e.seq = j.get("seq").as_uint();
-      const std::string& kind = j.get("kind").as_string();
-      if (kind == "step") {
-        e.event = sim::Event::step(ProcessId(j.get("process").as_uint()));
-        for (const auto& m : j.get("consumed").as_array())
-          e.consumed.push_back(msg_from_json(m));
-        for (const auto& m : j.get("sent").as_array())
-          e.sent.push_back(msg_from_json(m));
-      } else if (kind == "deliver") {
-        e.delivered = msg_from_json(j.get("msg"));
-        e.event = sim::Event::deliver(e.delivered->id);
-      } else {
-        // Every remaining kind is a v2 fault event.
-        DISCS_CHECK_MSG(doc.schema == kTraceSchemaV2,
-                        "trace: fault event '" << kind << "' under a "
-                                               << doc.schema << " header");
-        if (kind == "drop") {
-          e.delivered = msg_from_json(j.get("msg"));
-          e.event = sim::Event::drop(e.delivered->id);
-        } else if (kind == "dup") {
-          e.delivered = msg_from_json(j.get("msg"));
-          e.event = sim::Event::duplicate(e.delivered->id);
-        } else if (kind == "retransmit") {
-          e.delivered = msg_from_json(j.get("msg"));
-          e.event = sim::Event::retransmit(e.delivered->id);
-        } else if (kind == "crash") {
-          e.event = sim::Event::crash(ProcessId(j.get("process").as_uint()),
-                                      j.get("lossy").as_bool());
-        } else if (kind == "restart") {
-          e.event = sim::Event::restart(ProcessId(j.get("process").as_uint()));
-        } else {
-          DISCS_CHECK_MSG(false, "trace: unknown event kind '" << kind << "'");
-        }
-      }
-      DISCS_CHECK_MSG(e.seq == doc.events.size(),
-                      "trace: event seq " << e.seq << " out of order");
-      doc.events.push_back(std::move(e));
-    } else if (record == "span") {
-      DISCS_CHECK_MSG(doc.cluster.record_spans,
-                      "trace: span record without record_spans in header");
-      SpanNote s;
-      s.kind = span_kind_from(j.get("kind").as_string());
-      s.tx = j.get("tx").as_uint();
-      s.proc = j.get("proc").as_uint();
-      s.at = j.get("at").as_uint();
-      s.round = j.get("round").as_uint();
-      doc.spans.push_back(s);
-    } else if (record == "tx") {
-      doc.history.add(tx_from_json(j));
-    } else if (record == "footer") {
-      saw_footer = true;
-      DISCS_CHECK_MSG(j.get("events").as_uint() == doc.events.size(),
-                      "trace: footer event count mismatch");
-      doc.final_digest = j.get("final_digest").as_string();
-    } else {
-      DISCS_CHECK_MSG(false, "trace: unknown record '" << record << "'");
-    }
   }
-  DISCS_CHECK_MSG(saw_header, "trace: missing header");
-  DISCS_CHECK_MSG(saw_footer, "trace: missing footer");
-  return doc;
+  return in.finish();
 }
 
 // --- replay ----------------------------------------------------------------

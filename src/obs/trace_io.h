@@ -144,10 +144,11 @@ TraceDoc make_doc(const proto::Protocol& protocol, std::string scenario,
 ExportedEvent export_event_record(const sim::EventRecord& rec, bool spans,
                                   bool& fault);
 
-/// One canonical JSONL line (no trailing newline) for an exported event —
-/// exactly the bytes export_jsonl writes for it.  export_jsonl itself is
-/// built on this, so incremental and batch serialization cannot drift.
-std::string event_line(const ExportedEvent& e);
+/// Appends one canonical JSONL line (no trailing newline) for an exported
+/// event to `out` — exactly the bytes export_jsonl writes for it.
+/// export_jsonl itself is built on this, so incremental and batch
+/// serialization cannot drift.
+void append_event_line(std::string& out, const ExportedEvent& e);
 
 /// Sorts invokes into the canonical artifact order: by (at, tx id).  The
 /// exporters apply this before serialization so equal captures are
@@ -162,7 +163,7 @@ std::string export_jsonl(const TraceDoc& doc);
 /// run executes):
 ///
 ///   export_jsonl(doc) == export_prefix_jsonl(doc)        // header+invokes
-///                        + one event_line(e) + '\n' per event
+///                        + one append_event_line(e) + '\n' per event
 ///                        + export_suffix_jsonl(doc, doc.events.size())
 ///
 /// The suffix takes the event count explicitly because the assembling
@@ -171,8 +172,10 @@ std::string export_jsonl(const TraceDoc& doc);
 std::string export_prefix_jsonl(const TraceDoc& doc);
 std::string export_suffix_jsonl(const TraceDoc& doc, std::uint64_t events);
 
-/// Strict parser; throws CheckFailure on malformed input or an unknown
-/// schema version.
+/// Strict parser; throws CheckFailure on malformed input, an unknown schema
+/// version, a missing header or footer, or any record after the footer (a
+/// rejected record names its line).  Members may come in any order and
+/// unknown ones are skipped (docs/TRACING.md).
 TraceDoc import_jsonl(std::string_view text);
 
 /// Result of re-executing an imported document on a fresh simulation.

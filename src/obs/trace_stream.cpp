@@ -31,7 +31,10 @@ void TraceSink::append(const sim::EventRecord& rec) {
                                                           << events_ << ")");
   ExportedEvent e = export_event_record(rec, /*spans=*/false, any_fault_);
   if (spool_.is_open()) {
-    spool_ << event_line(e) << '\n';
+    line_.clear();
+    append_event_line(line_, e);
+    line_ += '\n';
+    spool_.write(line_.data(), static_cast<std::streamsize>(line_.size()));
     // Flush per record: the spool's reason to exist is that it is complete
     // up to the frontier while the run is alive (tail -f, post-mortem).
     spool_.flush();

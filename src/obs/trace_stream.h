@@ -7,10 +7,10 @@
 //
 //   - keeps the ExportedEvent when it keeps events (the memory sink behind
 //     rt::Options::capture), and/or
-//   - when it has a path, serializes the event (obs::event_line) and flushes
-//     it to a side "spool" file `<path>.spool` — raw event JSONL you can
-//     tail while the run is alive (the file sink behind
-//     rt::Options::stream_path).
+//   - when it has a path, serializes the event (obs::append_event_line, into
+//     one reused line buffer) and flushes it to a side "spool" file
+//     `<path>.spool` — raw event JSONL you can tail while the run is alive
+//     (the file sink behind rt::Options::stream_path).
 //
 // finish() completes the caller's TraceDoc: it sets the schema, moves the
 // kept events in, and for a file sink assembles the canonical artifact at
@@ -70,6 +70,7 @@ class TraceSink {
   std::string path_;
   std::string spool_path_;  ///< empty for a memory-only sink
   std::ofstream spool_;
+  std::string line_;  ///< the spooled line being written, reused
   std::vector<ExportedEvent> kept_;
   std::uint64_t events_ = 0;
   bool any_fault_ = false;

@@ -23,6 +23,7 @@
 #include "sim/simulation.h"
 #include "util/check.h"
 #include "util/fmt.h"
+#include "util/pool.h"
 
 namespace discs::rt {
 
@@ -816,8 +817,12 @@ RunReport Engine::finalize(std::vector<SubmitterStats> stats,
 RunReport run(const proto::Protocol& protocol,
               const proto::ClusterConfig& ccfg,
               const wl::WorkloadConfig& wcfg, const Options& options) {
-  Engine engine(protocol, ccfg, wcfg, options);
-  return engine.run();
+  RunReport rep = Engine(protocol, ccfg, wcfg, options).run();
+  // The engine threads allocated the capture's payloads and message
+  // vectors, and this thread freed them draining and destroying the engine:
+  // hand those blocks back for the next run's threads (util/pool.h).
+  util::Pool::release_thread_cache();
+  return rep;
 }
 
 }  // namespace discs::rt

@@ -20,31 +20,47 @@ inline std::size_t class_bytes(std::size_t cls) {
 }
 
 // Free blocks form intrusive singly-linked lists threaded through their
-// own storage (every class is >= 16 bytes, enough for a pointer).
+// own storage (every class is >= 16 bytes, enough for two pointers).
 struct FreeNode {
   FreeNode* next;
+  FreeNode* next_batch;  ///< in an orphaned batch's first node only
 };
 
-// Freelists of threads that have exited, waiting for adoption.  Touched
-// only at thread exit and when a live thread's freelist+slab both run dry.
+// Freelists handed over by threads that exited or released them, waiting
+// for adoption: per size class, a stack of batches of at most one slab's
+// worth of blocks each, so one thread cannot swallow blocks that several
+// threads are waiting to reuse.  Touched only on release and when a live
+// thread's freelist and slab both run dry.
 struct OrphanStore {
   std::mutex mu;
-  std::array<FreeNode*, kClassCount> chains{};
+  std::array<FreeNode*, kClassCount> batches{};
 
-  // Takes the whole chain for `cls`, or null.
+  // Pops one batch for `cls`, or null.
   FreeNode* take(std::size_t cls) {
     std::lock_guard<std::mutex> lock(mu);
-    FreeNode* chain = chains[cls];
-    chains[cls] = nullptr;
-    return chain;
+    FreeNode* batch = batches[cls];
+    if (batch) batches[cls] = batch->next_batch;
+    return batch;
   }
+  // Cuts the chain into batches, outside the lock so that a taker never
+  // waits on the walk, and pushes them.
   void give(std::size_t cls, FreeNode* head) {
     if (!head) return;
-    FreeNode* tail = head;
-    while (tail->next) tail = tail->next;
+    const std::size_t per_batch = kSlabBytes / class_bytes(cls);
+    FreeNode* last = head;
+    for (FreeNode* batch = head; batch != nullptr;) {
+      FreeNode* tail = batch;
+      for (std::size_t n = 1; n < per_batch && tail->next; ++n)
+        tail = tail->next;
+      FreeNode* rest = tail->next;
+      tail->next = nullptr;
+      batch->next_batch = rest;
+      last = batch;
+      batch = rest;
+    }
     std::lock_guard<std::mutex> lock(mu);
-    tail->next = chains[cls];
-    chains[cls] = head;
+    last->next_batch = batches[cls];
+    batches[cls] = head;
   }
 };
 
@@ -61,14 +77,19 @@ struct ThreadCache {
   char* slab_end = nullptr;
   Pool::Stats stats;
 
-  ~ThreadCache() {
-    // Recirculate everything this thread still holds.  The slab remainder
-    // is donated as one block of the largest class it can hold; smaller
-    // tails are abandoned (bounded by kMaxPooled per thread).
+  // Hands every freelist to the orphan store.
+  void release() {
     for (std::size_t cls = 0; cls < kClassCount; ++cls) {
       orphans().give(cls, free[cls]);
       free[cls] = nullptr;
     }
+  }
+
+  ~ThreadCache() {
+    // Recirculate everything this thread still holds.  The slab remainder
+    // is donated as one block of the largest class it can hold; smaller
+    // tails are abandoned (bounded by kMaxPooled per thread).
+    release();
     while (slab_cur && slab_end - slab_cur >= static_cast<std::ptrdiff_t>(
                                                   Pool::kAlign)) {
       std::size_t room = static_cast<std::size_t>(slab_end - slab_cur);
@@ -85,11 +106,11 @@ struct ThreadCache {
   void* carve(std::size_t cls) {
     const std::size_t want = class_bytes(cls);
     if (static_cast<std::size_t>(slab_end - slab_cur) < want) {
-      // Before burning a new slab, adopt an orphaned chain if one exists.
-      if (FreeNode* chain = orphans().take(cls)) {
-        free[cls] = chain->next;
+      // Before burning a new slab, adopt an orphaned batch if one exists.
+      if (FreeNode* batch = orphans().take(cls)) {
+        free[cls] = batch->next;
         ++stats.orphan_refills;
-        return chain;
+        return batch;
       }
       // Donate the unusable remainder of the old slab to its best class.
       while (slab_cur &&
@@ -154,6 +175,8 @@ void Pool::deallocate(void* p, std::size_t bytes) noexcept {
   node->next = tc.free[cls];
   tc.free[cls] = node;
 }
+
+void Pool::release_thread_cache() { cache().release(); }
 
 Pool::Stats Pool::stats() { return cache().stats; }
 

@@ -16,15 +16,23 @@
 //     This makes cross-thread frees safe by construction — a shared_ptr
 //     payload allocated on a Monte-Carlo worker may be released by the main
 //     thread; the block simply migrates to the releasing thread's freelist.
-//     The total slab footprint is bounded by the peak live bytes per thread
-//     (plus one slab of slack per class), which for this workload is a few
-//     MiB; "leaking" them at exit is deliberate and keeps every deallocation
+//     "Leaking" slabs at exit is deliberate and keeps every deallocation
 //     path wait-free.
-//   * When a thread exits, its freelists are spliced into a global orphan
-//     store (one mutex, touched only at thread exit and on slab-exhaustion
-//     slow paths); other threads refill from the orphan store before
-//     carving fresh slabs, so pooled memory recirculates across the
-//     Monte-Carlo harness's worker generations.
+//   * A migrated block can only be reused by the thread that freed it.  So
+//     when a thread exits, or calls release_thread_cache(), its freelists
+//     go to a global orphan store, cut into batches of at most one slab's
+//     worth (one mutex, touched only then and on slab-exhaustion slow
+//     paths).  A thread whose freelist and slab are both empty adopts one
+//     batch before it carves a fresh slab, so pooled memory recirculates
+//     across threads and across the Monte-Carlo harness's worker
+//     generations.
+//   * The footprint is therefore bounded only where freed blocks reach a
+//     thread that allocates again.  Rule: a thread that frees blocks other
+//     threads allocated, and then stops allocating that kind of object,
+//     calls release_thread_cache() when it is done.  rt::run does so before
+//     it returns: its engine threads allocate the capture and the calling
+//     thread frees it.  Without that, slabs grew with every captured run
+//     and never leveled off.
 //
 // The pool changes WHERE bytes live, never WHAT the simulator computes:
 // digests, traces and Table-1 outputs are byte-identical with the pool on
@@ -47,13 +55,19 @@ class Pool {
   static void* allocate(std::size_t bytes);
   static void deallocate(void* p, std::size_t bytes) noexcept;
 
+  /// Hands the calling thread's free blocks to the orphan store, where any
+  /// thread out of blocks adopts them (see the header comment for when to
+  /// call it).  The thread keeps its current slab.
+  static void release_thread_cache();
+
   /// Per-thread counters, for the PERFORMANCE.md playbook and the bench
   /// reports.  Monotonic within a thread.
   struct Stats {
     std::uint64_t freelist_hits = 0;   ///< served by popping a freelist
     std::uint64_t slab_carves = 0;     ///< served by bump-carving a slab
-    std::uint64_t orphan_refills = 0;  ///< freelist chains adopted from
-                                       ///< exited threads
+    std::uint64_t orphan_refills = 0;  ///< batches of freed blocks (one
+                                       ///< slab's worth at most) adopted
+                                       ///< from the orphan store
     std::uint64_t fallbacks = 0;       ///< > kMaxPooled, went to operator new
     std::uint64_t slab_bytes = 0;      ///< slab memory this thread carved
   };

@@ -2,12 +2,16 @@
 // registry, and the trace export/import/replay guarantee.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "consistency/checkers.h"
 #include "obs/json.h"
@@ -261,6 +265,323 @@ TEST(TraceIo, UnknownScenarioThrows) {
   proto::ClusterConfig cfg;
   EXPECT_THROW(obs::capture_scenario(*protocol, "no-such-scenario", cfg),
                CheckFailure);
+}
+
+// --- The importer's acceptance set -----------------------------------------
+//
+// A hand-written artifact in the exporter's canonical bytes, one line per
+// record kind.  A variant line must import to the document the canonical
+// line imports to, which re-exports to the canonical bytes.
+
+constexpr const char* kHeaderLine =
+    "{\"record\":\"header\",\"schema\":\"discs.trace.v1\",\"protocol\":"
+    "\"cops\",\"scenario\":\"pinned\",\"cluster\":{\"servers\":2,"
+    "\"clients\":4,\"objects\":2,\"replication\":1,\"tt_epsilon\":5,"
+    "\"gossip_interval\":1},\"initial\":[[0,1],[1,2]]}";
+constexpr const char* kInvokeLine =
+    "{\"record\":\"invoke\",\"at\":0,\"client\":2,\"tx\":{\"id\":3,"
+    "\"reads\":[],\"writes\":[[0,5],[1,6]]}}";
+constexpr const char* kStepLine =
+    "{\"record\":\"event\",\"seq\":0,\"kind\":\"step\",\"process\":2,"
+    "\"consumed\":[],\"sent\":[{\"id\":2199023255552,\"src\":2,\"dst\":0,"
+    "\"kind\":\"WriteRequest\",\"desc\":\"WriteRequest{T3}\",\"values\":[5],"
+    "\"bytes\":40}]}";
+constexpr const char* kDeliverLine =
+    "{\"record\":\"event\",\"seq\":1,\"kind\":\"deliver\",\"msg\":{\"id\":"
+    "2199023255552,\"src\":2,\"dst\":0,\"kind\":\"WriteRequest\",\"desc\":"
+    "\"WriteRequest{T3}\",\"values\":[5],\"bytes\":40}}";
+constexpr const char* kWriteTxLine =
+    "{\"record\":\"tx\",\"id\":3,\"client\":2,\"invoked\":true,\"completed\":"
+    "true,\"invoke_seq\":0,\"complete_seq\":1,\"reads\":[],\"writes\":[{"
+    "\"object\":0,\"value\":5,\"acked\":true}]}";
+constexpr const char* kReadTxLine =
+    "{\"record\":\"tx\",\"id\":4,\"client\":3,\"invoked\":true,\"completed\":"
+    "false,\"invoke_seq\":1,\"complete_seq\":0,\"reads\":[{\"object\":0,"
+    "\"value\":null,\"responded\":false},{\"object\":1,\"value\":2,"
+    "\"responded\":true}],\"writes\":[]}";
+constexpr const char* kFooterLine =
+    "{\"record\":\"footer\",\"events\":2,\"final_digest\":\"d\"}";
+
+std::vector<std::string> canonical_lines() {
+  return {kHeaderLine,  kInvokeLine, kStepLine, kDeliverLine,
+          kWriteTxLine, kReadTxLine, kFooterLine};
+}
+
+std::string artifact(const std::vector<std::string>& lines) {
+  std::string out;
+  for (const auto& l : lines) out += l + "\n";
+  return out;
+}
+
+/// The canonical artifact with the line equal to `line` swapped for
+/// `variant`.
+std::string with_line(const std::string& line, const std::string& variant) {
+  std::vector<std::string> lines = canonical_lines();
+  auto it = std::find(lines.begin(), lines.end(), line);
+  EXPECT_NE(it, lines.end());
+  *it = variant;
+  return artifact(lines);
+}
+
+TEST(TraceIo, CanonicalArtifactRoundTrips) {
+  const std::string bytes = artifact(canonical_lines());
+  obs::TraceDoc doc = obs::import_jsonl(bytes);
+  ASSERT_EQ(doc.events.size(), 2u);
+  ASSERT_EQ(doc.history.txs().size(), 2u);
+  const auto& unanswered = doc.history.txs()[1].reads[0];
+  EXPECT_FALSE(unanswered.responded);
+  EXPECT_FALSE(unanswered.value.valid());
+  EXPECT_EQ(obs::export_jsonl(doc), bytes);
+}
+
+TEST(TraceIo, ImportAcceptsReorderedFields) {
+  const std::string want = artifact(canonical_lines());
+  const std::vector<std::pair<std::string, std::string>> variants = {
+      {kInvokeLine,
+       "{\"tx\":{\"writes\":[[0,5],[1,6]],\"id\":3,\"reads\":[]},"
+       "\"client\":2,\"at\":0,\"record\":\"invoke\"}"},
+      {kStepLine,
+       "{\"sent\":[{\"bytes\":40,\"values\":[5],\"desc\":\"WriteRequest{T3}\","
+       "\"kind\":\"WriteRequest\",\"dst\":0,\"src\":2,\"id\":2199023255552}],"
+       "\"consumed\":[],\"process\":2,\"kind\":\"step\",\"seq\":0,"
+       "\"record\":\"event\"}"},
+      {kDeliverLine,
+       "{\"msg\":{\"desc\":\"WriteRequest{T3}\",\"id\":2199023255552,"
+       "\"bytes\":40,\"dst\":0,\"values\":[5],\"src\":2,\"kind\":"
+       "\"WriteRequest\"},\"kind\":\"deliver\",\"record\":\"event\","
+       "\"seq\":1}"},
+      {kWriteTxLine,
+       "{\"writes\":[{\"acked\":true,\"value\":5,\"object\":0}],\"reads\":[],"
+       "\"complete_seq\":1,\"invoke_seq\":0,\"completed\":true,\"invoked\":"
+       "true,\"client\":2,\"id\":3,\"record\":\"tx\"}"},
+      {kReadTxLine,
+       "{\"record\":\"tx\",\"reads\":[{\"responded\":false,\"value\":null,"
+       "\"object\":0},{\"responded\":true,\"object\":1,\"value\":2}],"
+       "\"id\":4,\"writes\":[],\"client\":3,\"invoked\":true,\"completed\":"
+       "false,\"invoke_seq\":1,\"complete_seq\":0}"},
+      {kFooterLine,
+       "{\"final_digest\":\"d\",\"events\":2,\"record\":\"footer\"}"},
+  };
+  for (const auto& [line, variant] : variants) {
+    SCOPED_TRACE(variant);
+    EXPECT_EQ(obs::export_jsonl(obs::import_jsonl(with_line(line, variant))),
+              want);
+  }
+}
+
+TEST(TraceIo, ImportAcceptsWhitespaceBetweenTokens) {
+  const std::string want = artifact(canonical_lines());
+  const std::string spaced =
+      " { \"record\" :\t\"event\" , \"seq\" : 0 , \"kind\" : \"step\" , "
+      "\"process\" : 2 , \"consumed\" : [ ] , \"sent\" : [ { \"id\" : "
+      "2199023255552 , \"src\" : 2 , \"dst\" : 0 , \"kind\" : "
+      "\"WriteRequest\" , \"desc\" : \"WriteRequest{T3}\" , \"values\" : "
+      "[ 5 ] , \"bytes\" : 40 } ] }\t\r";
+  EXPECT_EQ(obs::export_jsonl(obs::import_jsonl(with_line(kStepLine, spaced))),
+            want);
+  const std::string spaced_tx =
+      "{\"record\":\"tx\" , \"id\":4,\"client\":3,\"invoked\" : true,"
+      "\"completed\":false,\"invoke_seq\":1,\"complete_seq\":0,\"reads\":[ "
+      "{ \"object\":0, \"value\" : null ,\"responded\":false } , {\"object\""
+      ":1,\"value\":2,\"responded\":true}],\"writes\":[ ]}";
+  EXPECT_EQ(
+      obs::export_jsonl(obs::import_jsonl(with_line(kReadTxLine, spaced_tx))),
+      want);
+}
+
+TEST(TraceIo, ImportSkipsUnknownFields) {
+  const std::string want = artifact(canonical_lines());
+  const std::string unknown =
+      ",\"note\":\"x\",\"n\":-1.5e3,\"flag\":false,\"none\":null,"
+      "\"list\":[1,[2,{\"a\":\"b\"}]],\"obj\":{\"k\":[true,{}]}";
+  const std::vector<std::pair<std::string, std::string>> variants = {
+      {kInvokeLine,
+       "{\"record\":\"invoke\",\"at\":0,\"client\":2,\"tx\":{\"id\":3,"
+       "\"reads\":[],\"writes\":[[0,5],[1,6]]" + unknown + "}" + unknown +
+           "}"},
+      {kStepLine,
+       "{\"record\":\"event\"" + unknown +
+           ",\"seq\":0,\"kind\":\"step\",\"process\":2,\"consumed\":[],"
+           "\"sent\":[{\"id\":2199023255552" + unknown +
+           ",\"src\":2,\"dst\":0,\"kind\":\"WriteRequest\",\"desc\":"
+           "\"WriteRequest{T3}\",\"values\":[5],\"bytes\":40}]}"},
+      {kDeliverLine,
+       "{\"record\":\"event\",\"seq\":1,\"kind\":\"deliver\",\"msg\":{\"id\":"
+       "2199023255552,\"src\":2,\"dst\":0,\"kind\":\"WriteRequest\",\"desc\":"
+       "\"WriteRequest{T3}\",\"values\":[5],\"bytes\":40" + unknown + "}" +
+           unknown + "}"},
+      {kReadTxLine,
+       "{\"record\":\"tx\",\"id\":4,\"client\":3,\"invoked\":true,"
+       "\"completed\":false,\"invoke_seq\":1,\"complete_seq\":0,\"reads\":[{"
+       "\"object\":0,\"value\":null,\"responded\":false" + unknown +
+           "},{\"object\":1,\"value\":2,\"responded\":true}],\"writes\":[]" +
+           unknown + "}"},
+      {kFooterLine,
+       "{\"record\":\"footer\"" + unknown +
+           ",\"events\":2,\"final_digest\":\"d\"}"},
+  };
+  for (const auto& [line, variant] : variants) {
+    SCOPED_TRACE(variant);
+    EXPECT_EQ(obs::export_jsonl(obs::import_jsonl(with_line(line, variant))),
+              want);
+  }
+}
+
+TEST(TraceIo, ImportTakesTheFirstOfDuplicatedKeys) {
+  const std::string want = artifact(canonical_lines());
+  // The later occurrence is skipped unread, even when its type is wrong.
+  const std::vector<std::pair<std::string, std::string>> variants = {
+      {kStepLine,
+       "{\"record\":\"event\",\"seq\":0,\"seq\":9,\"kind\":\"step\","
+       "\"process\":2,\"consumed\":[],\"sent\":[{\"id\":2199023255552,"
+       "\"src\":2,\"dst\":0,\"kind\":\"WriteRequest\",\"desc\":"
+       "\"WriteRequest{T3}\",\"values\":[5],\"bytes\":40,\"bytes\":\"16\"}],"
+       "\"kind\":\"crash\",\"record\":\"footer\"}"},
+      {kReadTxLine,
+       "{\"record\":\"tx\",\"id\":4,\"client\":3,\"invoked\":true,"
+       "\"completed\":false,\"invoke_seq\":1,\"complete_seq\":0,\"reads\":[{"
+       "\"object\":0,\"value\":null,\"responded\":false,\"responded\":true},"
+       "{\"object\":1,\"value\":2,\"responded\":true}],\"writes\":[],"
+       "\"id\":-1}"},
+      {kFooterLine,
+       "{\"record\":\"footer\",\"events\":2,\"final_digest\":\"d\","
+       "\"final_digest\":\"other\",\"events\":7}"},
+  };
+  for (const auto& [line, variant] : variants) {
+    SCOPED_TRACE(variant);
+    EXPECT_EQ(obs::export_jsonl(obs::import_jsonl(with_line(line, variant))),
+              want);
+  }
+}
+
+TEST(TraceIo, ImportDecodesStringEscapes) {
+  const std::string escaped =
+      "{\"record\":\"event\",\"seq\":0,\"kind\":\"step\",\"process\":2,"
+      "\"consumed\":[],\"sent\":[{\"id\":2199023255552,\"src\":2,\"dst\":0,"
+      "\"kind\":\"WriteRequest\",\"desc\":\"q\\\" b\\\\ s\\/ n\\n t\\t "
+      "u\\u0001\",\"values\":[5],\"bytes\":40}]}";
+  obs::TraceDoc doc = obs::import_jsonl(with_line(kStepLine, escaped));
+  ASSERT_EQ(doc.events.at(0).sent.size(), 1u);
+  EXPECT_EQ(doc.events[0].sent[0].desc, "q\" b\\ s/ n\n t\t u\x01");
+  // The writer escapes all but '/' back.
+  EXPECT_NE(obs::export_jsonl(doc).find(
+                "\"desc\":\"q\\\" b\\\\ s/ n\\n t\\t u\\u0001\""),
+            std::string::npos);
+}
+
+TEST(TraceIo, ImportAcceptsEveryV2FaultKind) {
+  const std::string msg =
+      "{\"id\":2199023255552,\"src\":2,\"dst\":0,\"kind\":\"WriteRequest\","
+      "\"desc\":\"WriteRequest{T3}\",\"values\":[5],\"bytes\":40}";
+  std::string header = kHeaderLine;
+  header.replace(header.find("discs.trace.v1"), 14, "discs.trace.v2");
+  const std::vector<std::string> lines = {
+      header,
+      kInvokeLine,
+      kStepLine,
+      "{\"record\":\"event\",\"seq\":1,\"kind\":\"drop\",\"msg\":" + msg + "}",
+      "{\"record\":\"event\",\"seq\":2,\"kind\":\"retransmit\",\"msg\":" +
+          msg + "}",
+      "{\"record\":\"event\",\"seq\":3,\"kind\":\"dup\",\"msg\":" + msg + "}",
+      "{\"record\":\"event\",\"seq\":4,\"kind\":\"crash\",\"process\":0,"
+      "\"lossy\":true}",
+      "{\"record\":\"event\",\"seq\":5,\"kind\":\"restart\",\"process\":0}",
+      "{\"record\":\"event\",\"seq\":6,\"kind\":\"crash\",\"process\":1,"
+      "\"lossy\":false}",
+      "{\"record\":\"event\",\"seq\":7,\"kind\":\"deliver\",\"msg\":" + msg +
+          "}",
+      kWriteTxLine,
+      "{\"record\":\"footer\",\"events\":8,\"final_digest\":\"d\"}"};
+  const std::string bytes = artifact(lines);
+  obs::TraceDoc doc = obs::import_jsonl(bytes);
+  EXPECT_EQ(doc.schema, obs::kTraceSchemaV2);
+  ASSERT_EQ(doc.events.size(), 8u);
+  EXPECT_EQ(doc.events[1].event.kind, sim::Event::Kind::kDrop);
+  EXPECT_EQ(doc.events[2].event.kind, sim::Event::Kind::kRetransmit);
+  EXPECT_EQ(doc.events[3].event.kind, sim::Event::Kind::kDuplicate);
+  EXPECT_EQ(doc.events[4].event.kind, sim::Event::Kind::kCrash);
+  EXPECT_TRUE(doc.events[4].event.lossy);
+  EXPECT_EQ(doc.events[5].event.kind, sim::Event::Kind::kRestart);
+  EXPECT_FALSE(doc.events[6].event.lossy);
+  EXPECT_EQ(obs::export_jsonl(doc), bytes);
+}
+
+TEST(TraceIo, ImportRejectsMalformedRecords) {
+  auto replace = [](std::string line, const std::string& from,
+                    const std::string& to) {
+    auto pos = line.find(from);
+    EXPECT_NE(pos, std::string::npos) << from;
+    return line.replace(pos, from.size(), to);
+  };
+  const std::string step = kStepLine;
+  const std::vector<std::pair<std::string, std::string>> rejected = {
+      // Missing required fields.
+      {kStepLine, replace(step, "\"seq\":0,", "")},
+      {kStepLine, replace(step, ",\"bytes\":40", "")},
+      {kStepLine, replace(step, ",\"consumed\":[]", "")},
+      {kDeliverLine, replace(kDeliverLine, ",\"msg\":", ",\"message\":")},
+      {kInvokeLine, replace(kInvokeLine, "\"at\":0,", "")},
+      {kInvokeLine, replace(kInvokeLine, ",\"reads\":[]", "")},
+      {kWriteTxLine, replace(kWriteTxLine, "\"invoked\":true,", "")},
+      {kWriteTxLine, replace(kWriteTxLine, ",\"acked\":true", "")},
+      {kReadTxLine, replace(kReadTxLine, "\"value\":2,", "")},
+      {kFooterLine, replace(kFooterLine, ",\"final_digest\":\"d\"", "")},
+      // Integer fields must be unsigned and integral.
+      {kStepLine, replace(step, "\"seq\":0", "\"seq\":-1")},
+      {kStepLine, replace(step, "\"seq\":0", "\"seq\":1.5")},
+      {kStepLine, replace(step, "\"bytes\":40", "\"bytes\":\"16\"")},
+      {kStepLine, replace(step, "\"values\":[5]", "\"values\":[true]")},
+      {kInvokeLine, replace(kInvokeLine, "[0,5]", "[0]")},
+      {kWriteTxLine, replace(kWriteTxLine, "\"invoked\":true",
+                             "\"invoked\":1")},
+      {kReadTxLine, replace(kReadTxLine, "\"value\":2", "\"value\":null")},
+      // Not one JSON object.
+      {kStepLine, step.substr(0, step.size() / 2)},
+      {kStepLine, step + "x"},
+      {kStepLine, step + " {}"},
+      {kFooterLine, "[1,2]"},
+      // Unknown or misplaced records and events.
+      {kDeliverLine, replace(kDeliverLine, "\"deliver\"", "\"drop\"")},
+      {kDeliverLine, replace(kDeliverLine, "\"deliver\"", "\"teleport\"")},
+      {kInvokeLine, replace(kInvokeLine, "\"invoke\"", "\"invocation\"")},
+      {kWriteTxLine,
+       "{\"record\":\"span\",\"kind\":\"round\",\"tx\":3,\"proc\":2,"
+       "\"at\":0,\"round\":1}"},
+      {kFooterLine, replace(kFooterLine, "\"events\":2", "\"events\":3")},
+      {kInvokeLine, kHeaderLine},
+  };
+  for (const auto& [line, variant] : rejected) {
+    SCOPED_TRACE(variant);
+    EXPECT_THROW(obs::import_jsonl(with_line(line, variant)), CheckFailure);
+  }
+
+  // An unknown event kind is rejected under v2 as well.
+  std::string v2 = with_line(
+      kDeliverLine, replace(kDeliverLine, "\"deliver\"", "\"teleport\""));
+  v2.replace(v2.find("discs.trace.v1"), 14, "discs.trace.v2");
+  EXPECT_THROW(obs::import_jsonl(v2), CheckFailure);
+}
+
+TEST(TraceIo, ImportRejectsRecordsAfterTheFooter) {
+  // The footer is the last record: an event or tx line appended after it
+  // (which the footer's event count does not cover) is rejected.
+  const std::string bytes = artifact(canonical_lines());
+  for (const char* extra :
+       {"{\"record\":\"event\",\"seq\":2,\"kind\":\"step\",\"process\":0,"
+        "\"consumed\":[],\"sent\":[]}",
+        kReadTxLine, kFooterLine}) {
+    SCOPED_TRACE(extra);
+    try {
+      obs::import_jsonl(bytes + extra + "\n");
+      ADD_FAILURE() << "accepted a record after the footer";
+    } catch (const CheckFailure& e) {
+      EXPECT_NE(std::string(e.what()).find("trace: record after footer"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // Blank lines after the footer are not records.
+  EXPECT_NO_THROW(obs::import_jsonl(bytes + "\n\n"));
 }
 
 // --- TraceSink -------------------------------------------------------------

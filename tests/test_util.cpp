@@ -1,12 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <ostream>
 #include <set>
+#include <string>
+#include <string_view>
+#include <thread>
+#include <vector>
 
 #include "metrics/metrics.h"
 #include "util/check.h"
 #include "util/fmt.h"
 #include "util/ids.h"
+#include "util/pool.h"
 #include "util/rng.h"
 
 namespace discs {
@@ -104,11 +111,57 @@ TEST(Check, ThrowsCheckFailure) {
   }
 }
 
+enum Shade { kLight, kDark = 7 };
+
+struct Point {
+  int x, y;
+};
+std::ostream& operator<<(std::ostream& os, const Point& p) {
+  return os << "(" << p.x << "," << p.y << ")";
+}
+
 TEST(Fmt, CatAndJoin) {
   EXPECT_EQ(cat("a", 1, "b"), "a1b");
   std::vector<int> v{1, 2, 3};
   EXPECT_EQ(join(v, ","), "1,2,3");
   EXPECT_EQ(join(v, "-", [](int x) { return x * 2; }), "2-4-6");
+
+  // The bytes each argument type renders to, as an std::ostream prints it.
+  // Integers.
+  EXPECT_EQ(cat(0), "0");
+  EXPECT_EQ(cat(UINT64_MAX), "18446744073709551615");
+  EXPECT_EQ(cat(INT64_MIN), "-9223372036854775808");
+  EXPECT_EQ(cat(std::size_t{42}, short{-3}, 5u, -6L), "42-35-6");
+  // bool prints as a digit; every character type prints as a character.
+  EXPECT_EQ(cat(true, false), "10");
+  EXPECT_EQ(cat('x', 'y'), "xy");
+  EXPECT_EQ(cat(static_cast<signed char>('A')), "A");
+  EXPECT_EQ(cat(std::uint8_t{66}), "B");
+  // Floating point keeps the stream's default (6 significant digits).
+  EXPECT_EQ(cat(0.1), "0.1");
+  EXPECT_EQ(cat(3.0), "3");
+  EXPECT_EQ(cat(1e20), "1e+20");
+  EXPECT_EQ(cat(1.0 / 3), "0.333333");
+  EXPECT_EQ(cat(0.25f, " ", 2.5f), "0.25 2.5");
+  // Strings in every spelling.
+  const char* cstr = "c";
+  std::string_view sv = "view";
+  std::string str = "string";
+  EXPECT_EQ(cat(cstr, sv, str), "cviewstring");
+  EXPECT_EQ(cat("", std::string(), std::string_view()), "");
+  // Enums print their value; other types use their operator<<.
+  EXPECT_EQ(cat(kLight, kDark), "07");
+  EXPECT_EQ(cat("p=", Point{1, -2}), "p=(1,-2)");
+  EXPECT_EQ(cat(Point{3, 4}, 5), "(3,4)5");
+
+  // join over every element type, and a render returning std::string.
+  EXPECT_EQ(join(std::vector<std::string>{"a", "b"}, ", "), "a, b");
+  EXPECT_EQ(join(std::vector<double>{0.5, 1e20}, ";"), "0.5;1e+20");
+  EXPECT_EQ(join(std::vector<bool>{true, false}, ""), "10");
+  EXPECT_EQ(join(std::vector<Point>{{1, 2}}, ","), "(1,2)");
+  EXPECT_EQ(join(std::vector<int>{}, ","), "");
+  EXPECT_EQ(join(v, "+", [](int x) { return std::string(x, '*'); }),
+            "*+**+***");
 }
 
 TEST(Fmt, AsciiTable) {
@@ -121,6 +174,33 @@ TEST(Fmt, PadAndFixed) {
   EXPECT_EQ(pad("ab", 4), "ab  ");
   EXPECT_EQ(pad("abcd", 2), "abcd");
   EXPECT_EQ(fixed(3.14159, 2), "3.14");
+}
+
+TEST(Pool, ReleasedBlocksRecirculateToAFreshThread) {
+  // 496-byte blocks: a size class nothing else in this binary allocates.
+  // A 64 KiB slab holds 132 of them.
+  constexpr std::size_t kBytes = 496, kBlocks = 2000;
+  std::vector<void*> blocks;
+  std::thread([&] {
+    for (std::size_t i = 0; i < kBlocks; ++i)
+      blocks.push_back(util::Pool::allocate(kBytes));
+  }).join();
+  // Freed here, the blocks land on this thread's freelist; released, they
+  // go to the orphan store.
+  for (void* p : blocks) util::Pool::deallocate(p, kBytes);
+  util::Pool::release_thread_cache();
+
+  util::Pool::Stats fresh;
+  std::thread([&] {
+    for (void*& p : blocks) p = util::Pool::allocate(kBytes);
+    fresh = util::Pool::stats();
+  }).join();
+  EXPECT_EQ(fresh.slab_bytes, 0u);
+  // Adopted one slab's worth at a time, not as one whole chain.
+  EXPECT_GE(fresh.orphan_refills, kBlocks / 132);
+
+  for (void* p : blocks) util::Pool::deallocate(p, kBytes);
+  util::Pool::release_thread_cache();
 }
 
 TEST(MetricsSummary, EmptyStatisticsAreNaN) {
