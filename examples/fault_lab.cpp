@@ -61,6 +61,7 @@ fault::FaultPlan scripted_by_name(const std::string& name) {
 
 int main(int argc, char** argv) {
   std::vector<fault::FaultPlan> plans;
+  std::vector<std::string> plan_files;  // parallel to plans; "" if scripted
   std::vector<std::string> protocols = kDefaultProtocols;
   std::string export_path;
 
@@ -88,8 +89,10 @@ int main(int argc, char** argv) {
                   << "': " << e.what() << "\n";
         return 1;
       }
+      plan_files.push_back(path);
     } else if (arg == "--scripted") {
       plans.push_back(scripted_by_name(next()));
+      plan_files.emplace_back();
     } else if (arg == "--protocol") {
       protocols = {next()};
     } else if (arg == "--export") {
@@ -109,6 +112,25 @@ int main(int argc, char** argv) {
                  "wait on inter-server stabilization starves (Theorem 1's\n"
                  "lost progress).  A lossy network with retransmissions only\n"
                  "slows protocols down — every one still makes progress.\n\n";
+  }
+
+  // A plan that names a process outside the cluster it runs on is an input
+  // error too: check every plan against every protocol's cluster (the
+  // audits' and the export's) before any event runs.
+  for (const auto& name : protocols) {
+    auto protocol = proto::protocol_by_name(name);
+    sim::Simulation sim;
+    proto::IdSource ids;
+    proto::Cluster cluster = protocol->build(sim, {}, ids);
+    for (std::size_t i = 0; i < plan_files.size(); ++i) {
+      try {
+        plans[i].check_against({cluster.view.servers, cluster.clients});
+      } catch (const discs::CheckFailure& e) {
+        std::cerr << "fault_lab: invalid plan '" << plan_files[i] << "' for "
+                  << name << ": " << e.what() << "\n";
+        return 1;
+      }
+    }
   }
 
   for (const auto& plan : plans) audit(plan, protocols);

@@ -93,22 +93,24 @@ FaultPlan random_plan(std::uint64_t campaign_seed, std::size_t index,
 RunOutcome run_once(const Protocol& proto, const FaultPlan& plan,
                     const CampaignConfig& cfg) {
   RunOutcome out;
-  // The simulator outlives the try so the flight recorder can snapshot its
-  // trace tail even when a protocol invariant throws mid-run.
+  // Building the cluster and the session checks the configuration and the
+  // plan, before any event runs: a CheckFailure there is an invalid input
+  // and propagates.  The simulator outlives the try so the flight recorder
+  // can snapshot its trace tail even when a protocol invariant throws
+  // mid-run.
   sim::Simulation sim;
+  IdSource ids;
+  Cluster cluster = proto.build(sim, cfg.cluster, ids);
+  if (cfg.client_retransmit_after > 0)
+    for (auto c : cluster.clients)
+      sim.process_as<ClientBase>(c).set_retransmit_after(
+          cfg.client_retransmit_after);
+  fault::FaultSession session(plan, {cluster.view.servers, cluster.clients});
   auto snap_flight = [&] {
     if (cfg.flight_capacity > 0)
       out.flight = obs::flight_tail(sim.trace().records(), cfg.flight_capacity);
   };
   try {
-    IdSource ids;
-    Cluster cluster = proto.build(sim, cfg.cluster, ids);
-    if (cfg.client_retransmit_after > 0)
-      for (auto c : cluster.clients)
-        sim.process_as<ClientBase>(c).set_retransmit_after(
-            cfg.client_retransmit_after);
-    fault::FaultSession session(plan,
-                                {cluster.view.servers, cluster.clients});
     auto result = wl::run_workload_concurrent_faulted(
         sim, proto, cluster, ids, cfg.workload, session);
 

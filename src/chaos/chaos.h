@@ -91,6 +91,9 @@ fault::FaultPlan random_plan(std::uint64_t campaign_seed, std::size_t index,
 
 /// One execution: build the cluster, arm client retransmits, run the
 /// faulted concurrent workload, check safety; optionally audit progress.
+/// A protocol invariant that fails while the workload runs is a safety
+/// finding; a configuration or plan that does not fit the cluster (e.g. a
+/// crash rule naming a process outside it) throws CheckFailure instead.
 RunOutcome run_once(const proto::Protocol& proto,
                     const fault::FaultPlan& plan, const CampaignConfig& cfg);
 

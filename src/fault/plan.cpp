@@ -128,12 +128,22 @@ obs::Json rule_to_json(const FaultRule& r) {
   return obs::Json(std::move(o));
 }
 
-FaultRule rule_from_json(const obs::Json& j) {
+FaultRule rule_from_json(const obs::Json& j, std::size_t index) {
   FaultRule r;
   r.kind = kind_from_name(j.get("kind").as_string());
   auto opt_double = [&](const char* key, double dflt) {
     const obs::Json* f = j.find(key);
     return f ? f->as_double() : dflt;
+  };
+  // A probability outside [0, 1] (NaN included) would fire on every
+  // message or on none, whatever the author meant.
+  auto opt_p = [&] {
+    const double p = opt_double("p", 1.0);
+    DISCS_CHECK_MSG(p >= 0.0 && p <= 1.0,
+                    "faultplan: rule " << index << " (" << kind_name(r.kind)
+                                       << ") has p=" << p
+                                       << ", outside [0, 1]");
+    return p;
   };
   auto opt_uint = [&](const char* key, std::uint64_t dflt) {
     const obs::Json* f = j.find(key);
@@ -145,25 +155,25 @@ FaultRule rule_from_json(const obs::Json& j) {
   };
   switch (r.kind) {
     case FaultRule::Kind::kDrop:
-      r.p = opt_double("p", 1.0);
+      r.p = opt_p();
       r.src = opt_selector("src");
       r.dst = opt_selector("dst");
       r.retransmit_after = opt_uint("retransmit_after", 0);
       break;
     case FaultRule::Kind::kDelay:
-      r.p = opt_double("p", 1.0);
+      r.p = opt_p();
       r.src = opt_selector("src");
       r.dst = opt_selector("dst");
       r.steps = opt_uint("steps", 0);
       r.exp_mean = opt_double("exp_mean", 0.0);
       break;
     case FaultRule::Kind::kDuplicate:
-      r.p = opt_double("p", 1.0);
+      r.p = opt_p();
       r.src = opt_selector("src");
       r.dst = opt_selector("dst");
       break;
     case FaultRule::Kind::kReorder:
-      r.p = opt_double("p", 1.0);
+      r.p = opt_p();
       r.jitter = opt_uint("jitter", 4);
       break;
     case FaultRule::Kind::kPartition:
@@ -234,8 +244,20 @@ FaultPlan FaultPlan::from_json(const obs::Json& doc) {
   if (const obs::Json* n = doc.find("name")) plan.name = n->as_string();
   if (const obs::Json* s = doc.find("seed")) plan.seed = s->as_uint();
   for (const auto& r : doc.get("rules").as_array())
-    plan.rules.push_back(rule_from_json(r));
+    plan.rules.push_back(rule_from_json(r, plan.rules.size()));
   return plan;
+}
+
+void FaultPlan::check_against(const FaultTopology& topo) const {
+  for (std::size_t i = 0; i < rules.size(); ++i) {
+    const FaultRule& r = rules[i];
+    if (r.kind != FaultRule::Kind::kCrash) continue;
+    DISCS_CHECK_MSG(topo.is_server(r.process) || topo.is_client(r.process),
+                    "faultplan: rule " << i << " (crash) names process "
+                                       << r.process.value()
+                                       << ", which is neither a server nor a "
+                                          "client of the cluster");
+  }
 }
 
 FaultPlan FaultPlan::parse(const std::string& text) {

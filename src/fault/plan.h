@@ -97,11 +97,17 @@ struct FaultPlan {
   friend bool operator==(const FaultPlan&, const FaultPlan&) = default;
 
   /// Serialization under schema "discs.faultplan.v1".  from_json/parse
-  /// throw util::CheckFailure on malformed or wrong-schema input.
+  /// throw util::CheckFailure on malformed or wrong-schema input, and on a
+  /// probability `p` outside [0, 1].
   obs::Json to_json() const;
   std::string dump() const;  ///< one-line JSON document
   static FaultPlan from_json(const obs::Json& doc);
   static FaultPlan parse(const std::string& text);
+
+  /// Throws util::CheckFailure, naming the rule, when a crash rule targets
+  /// a process that is neither a server nor a client of `topo`: the plan
+  /// cannot run on that cluster.  FaultSession checks it on construction.
+  void check_against(const FaultTopology& topo) const;
 };
 
 /// --- rule builders (the common cases, for tests and examples) ---

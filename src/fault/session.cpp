@@ -18,10 +18,22 @@ bool in_window(const FaultRule& r, std::uint64_t now) {
   return now >= r.from && (r.to == kForever || now < r.to);
 }
 
+/// The fate walk skips a fate only when its message has left flight;
+/// debug builds check it.
+void check_left_flight([[maybe_unused]] const sim::Simulation& sim,
+                       [[maybe_unused]] sim::MsgId id) {
+#ifndef NDEBUG
+  DISCS_CHECK_MSG(!sim.network().find_in_flight(id),
+                  "fault session skipped the fate of in-flight message "
+                      << to_string(id));
+#endif
+}
+
 }  // namespace
 
 FaultSession::FaultSession(FaultPlan plan, FaultTopology topo)
     : plan_(std::move(plan)), topo_(std::move(topo)), rng_(plan_.seed) {
+  plan_.check_against(topo_);
   std::size_t crash_rules = 0;
   for (const auto& r : plan_.rules)
     if (r.kind == FaultRule::Kind::kCrash) ++crash_rules;
@@ -44,14 +56,11 @@ bool FaultSession::link_blocked(sim::ProcessId src, sim::ProcessId dst,
   return false;
 }
 
-FaultSession::Fate& FaultSession::fate_of(const sim::Message& m,
-                                          std::uint64_t now) {
-  auto it = fates_.find(m.id.value());
-  if (it != fates_.end()) return it->second;
-
-  // First sight: walk the rules in plan order.  The first matching drop
-  // rule that fires wins; delay and reorder rules accumulate extra delay;
-  // a duplicate rule arms one extra delivery.
+FaultSession::Fate FaultSession::draw_fate(const sim::Message& m,
+                                           std::uint64_t now) {
+  // Walk the rules in plan order.  The first matching drop rule that fires
+  // wins; delay and reorder rules accumulate extra delay; a duplicate rule
+  // arms one extra delivery.
   Fate fate;
   std::uint64_t extra = 0;
   for (const auto& r : plan_.rules) {
@@ -89,7 +98,7 @@ FaultSession::Fate& FaultSession::fate_of(const sim::Message& m,
   }
   fate.release_at = now + extra;
   if (extra > 0) obs::Registry::global().inc("fault.delays");
-  return fates_.emplace(m.id.value(), fate).first->second;
+  return fate;
 }
 
 std::size_t FaultSession::tick(sim::Simulation& sim) {
@@ -121,14 +130,13 @@ std::size_t FaultSession::tick(sim::Simulation& sim) {
   while (!retransmit_queue_.empty() && retransmit_queue_.front().first <= now) {
     std::uint64_t id = retransmit_queue_.front().second;
     retransmit_queue_.erase(retransmit_queue_.begin());
+    // The resent message re-enters flight under its original id, at the
+    // end of the list.  Its drop left it no fate, so the next scan rolls
+    // fresh dice for the retry (a second drop schedules another
+    // retransmission, so a p<1 drop rule eventually lets it through).
     if (sim.retransmit(sim::MsgId(id))) {
       obs::Registry::global().inc("fault.retransmits");
       ++applied;
-      // The resent message re-enters flight under its original id; clear
-      // its fate so the plan rolls fresh dice for the retry (a second drop
-      // schedules another retransmission, so a p<1 drop rule eventually
-      // lets it through).
-      fates_.erase(id);
     }
   }
   return applied;
@@ -139,11 +147,19 @@ void FaultSession::deliverable(sim::Simulation& sim,
                                std::vector<sim::MsgId>& out) {
   const std::uint64_t now = sim.now();
   const sim::FlightList& flight = sim.network().in_flight();
+  // fates_ follows the list as the last scan left it.  The list only
+  // appends and erases in place (Network::in_flight), so the messages
+  // still in flight come first, in the same order, and every message after
+  // the last one matched is new: it draws its fate now, in list order.
+  std::size_t next = 0;  // fates_[next] is the next fate to match
   for (auto it = flight.begin(); it != flight.end();) {
     const sim::Message& m = *it++;  // a drop erases m's node: step past it
-    Fate& fate = fate_of(m, now);
+    const sim::MsgId id = m.id;
+    while (next < fates_.size() && fates_[next].first != id)
+      check_left_flight(sim, fates_[next++].first);
+    const Fate fate =
+        next < fates_.size() ? fates_[next++].second : draw_fate(m, now);
     if (fate.drop) {
-      const sim::MsgId id = m.id;
       if (sim.drop(id)) {
         obs::Registry::global().inc("fault.drops");
         if (fate.retransmit_after > 0) {
@@ -154,21 +170,25 @@ void FaultSession::deliverable(sim::Simulation& sim,
               entry);
         }
       }
-      continue;
+      continue;  // a dropped message keeps no fate
     }
-    if (now < fate.release_at) continue;  // still delayed
+    Fate& kept = scan_.emplace_back(id, fate).second;
+    if (now < kept.release_at) continue;  // still delayed
     if (link_blocked(m.src, m.dst, now)) {
       obs::Registry::global().inc("fault.holds");
       continue;
     }
     if (sim.is_crashed(m.dst)) continue;
-    if (fate.duplicate) {
+    if (kept.duplicate) {
       if (sim.duplicate(m.id))
         obs::Registry::global().inc("fault.duplicates");
-      fate.duplicate = false;
+      kept.duplicate = false;
     }
     if (within.admits(m)) out.push_back(m.id);
   }
+  while (next < fates_.size()) check_left_flight(sim, fates_[next++].first);
+  fates_.swap(scan_);
+  scan_.clear();
 }
 
 bool FaultSession::has_pending() const {

@@ -6,9 +6,9 @@
 //   1. calls tick()        — due crashes, restarts and retransmits fire;
 //   2. calls deliverable() — every in-flight message gets a *fate* the
 //      first time the session sees it (drawn from the plan's seeded RNG and
-//      memoized by MsgId), drop fates are applied, and the ids of the
-//      messages whose delay has elapsed and whose link is not partitioned
-//      are appended to the scheduler's list;
+//      held for as long as the message stays in flight), drop fates are
+//      applied, and the ids of the messages whose delay has elapsed and
+//      whose link is not partitioned are appended to the scheduler's list;
 //   3. delivers (a subset of) those messages and steps processes.
 //
 // Determinism: fates are drawn in first-sight order, which is the send
@@ -21,10 +21,12 @@
 // A FaultSession is a plain value: copying it alongside a Simulation
 // snapshot yields an independent faulted branch with the same future
 // — the progress auditor (src/impossibility/progress.h) relies on this.
+// It holds fates only for the messages in flight, so a copy costs
+// O(in flight), not O(messages ever sent).
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <utility>
 #include <vector>
 
 #include "fault/plan.h"
@@ -36,6 +38,8 @@ namespace discs::fault {
 
 class FaultSession {
  public:
+  /// Throws util::CheckFailure when `plan` does not fit `topo`
+  /// (FaultPlan::check_against).
   FaultSession(FaultPlan plan, FaultTopology topo);
 
   const FaultPlan& plan() const { return plan_; }
@@ -79,12 +83,21 @@ class FaultSession {
     bool duplicate = false;              // fire one duplicate on release
   };
 
-  Fate& fate_of(const sim::Message& m, std::uint64_t now);
+  /// Draws the fate of a message the session sees for the first time.
+  Fate draw_fate(const sim::Message& m, std::uint64_t now);
+
+  using FateList = std::vector<std::pair<sim::MsgId, Fate>>;
 
   FaultPlan plan_;
   FaultTopology topo_;
   Rng rng_;
-  std::map<std::uint64_t, Fate> fates_;  // by MsgId
+  /// The fate of every message that stayed in flight through the last
+  /// scan, in in-flight list order.  A dropped or delivered message keeps
+  /// none, so a retransmitted one draws a fresh fate.
+  FateList fates_;
+  /// The next scan's fates_, swapped in when the scan ends; empty between
+  /// scans, so copying a session does not copy it.
+  FateList scan_;
   /// (due, msg id), kept sorted by due time then id.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> retransmit_queue_;
   struct CrashProgress {

@@ -13,6 +13,10 @@
 // "Eventual" is necessarily approximated by an event budget; the budgets
 // default high enough that every §3.4 protocol converges in a fault-free
 // run within a small fraction of them (see tests/test_faults.cpp).
+//
+// The audit keeps no trace.  Its report reads only client state, so the
+// execution and the probe branch count their events without storing them
+// (Simulation::set_trace_retention); nothing can render or export them.
 #pragma once
 
 #include <string>

@@ -102,7 +102,11 @@ class Network {
 
   /// --- queries (all const) ---
 
-  /// Messages sent but not yet delivered, in send order.
+  /// Messages sent but not yet delivered, in send order.  post() appends
+  /// (a retransmission too), every removal erases in place and a copy keeps
+  /// the order, so between two reads the list is the survivors of the
+  /// first read, in their order, followed by the messages posted since.
+  /// fault::FaultSession's fate walk relies on this.
   const FlightList& in_flight() const { return in_flight_; }
 
   /// Messages in flight from `src` to `dst`.

@@ -4,6 +4,9 @@
 // adversarial schedules (Theorem 1's progress property).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "fault/plan.h"
 #include "fault/session.h"
 #include "impossibility/progress.h"
@@ -58,6 +61,27 @@ TEST(FaultPlan, ParseRejectsWrongSchemaAndGarbage) {
   tampered.replace(pos, 18, "discs.faultplan.v9");
   EXPECT_THROW(FaultPlan::parse(tampered), CheckFailure);
   EXPECT_THROW(FaultPlan::parse("not json at all"), CheckFailure);
+}
+
+TEST(FaultPlan, ParseRejectsProbabilityOutsideUnitInterval) {
+  for (double p : {7.5, -0.1, std::nan("")}) {
+    for (const auto& rule :
+         {fault::drop_rule(p), fault::delay_rule(1, p),
+          fault::duplicate_rule(p), fault::reorder_rule(p)}) {
+      FaultPlan plan;
+      plan.rules.push_back(rule);
+      EXPECT_THROW(FaultPlan::from_json(plan.to_json()), CheckFailure) << p;
+    }
+  }
+  EXPECT_THROW(FaultPlan::parse(R"({"schema":"discs.faultplan.v1",)"
+                                R"("rules":[{"kind":"drop","p":7.5}]})"),
+               CheckFailure);
+  // The bounds themselves are probabilities.
+  for (double p : {0.0, 1.0}) {
+    FaultPlan plan;
+    plan.rules.push_back(fault::drop_rule(p));
+    EXPECT_EQ(FaultPlan::parse(plan.dump()), plan);
+  }
 }
 
 TEST(FaultPlan, ScriptedPlansAreWellFormed) {
@@ -203,6 +227,23 @@ TEST(CrashRestart, RecoveringCrashKeepsTheWrite) {
   EXPECT_EQ(got.at(obj), written);
 }
 
+TEST(CrashRestart, SessionRejectsCrashRuleOutsideTopology) {
+  FaultPlan plan;
+  plan.rules.push_back(fault::drop_rule(0.1));
+  plan.rules.push_back(fault::crash_rule(ProcessId(99), 5, 50));
+  try {
+    FaultSession session(plan, {{ProcessId(0), ProcessId(1)}, {ProcessId(2)}});
+    FAIL() << "a crash rule naming process 99 was accepted";
+  } catch (const CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find("rule 1 (crash)"), std::string::npos)
+        << e.what();
+  }
+  // Clients are part of the topology too.
+  plan.rules.back() = fault::crash_rule(ProcessId(2), 5, 50);
+  EXPECT_NO_THROW(
+      FaultSession(plan, {{ProcessId(0), ProcessId(1)}, {ProcessId(2)}}));
+}
+
 TEST(CrashRestart, SchedulersCountOnlyAppliedEvents) {
   // A step refused to a crashed process is not an event: each scheduler's
   // event count must equal the virtual time it advanced.
@@ -262,6 +303,58 @@ TEST(FaultDeterminism, FaultedWorkloadIsReproducible) {
     return b.sim.digest();
   };
   EXPECT_EQ(run(), run());
+}
+
+// --- branching -------------------------------------------------------------
+
+// A (simulation, session) pair copied mid-run is an independent faulted
+// branch with the same future (docs/FAULTS.md); the progress auditor's
+// probe relies on it.  The copy point falls inside the hold window, with
+// messages in flight and a retransmission queued.
+TEST(FaultSessionTest, CopiedBranchHasTheSameFuture) {
+  FaultPlan plan;
+  plan.name = "branch";
+  plan.seed = 11;
+  plan.rules.push_back(fault::drop_rule(0.3, 20));
+  plan.rules.push_back(fault::delay_rule(3, 0.5));
+  plan.rules.push_back(fault::duplicate_rule(0.2));
+  plan.rules.push_back(
+      fault::hold_rule(Selector::server(), Selector::server(), 100, 400));
+
+  ClusterConfig cfg;
+  cfg.exactly_once = true;
+  BuiltCluster b = build("wren", cfg);
+  FaultSession session(plan, {b.cluster.view.servers, b.cluster.clients});
+  const auto& objects = b.cluster.view.objects;
+  for (std::size_t c = 0; c < b.cluster.clients.size(); ++c)
+    b.sim.process_as<ClientBase>(b.cluster.clients[c])
+        .invoke(b.ids.write_one(objects[c % objects.size()]));
+  fault::run_fair_faulted(b.sim, session, {}, nullptr, 150);
+  ASSERT_GT(b.sim.network().in_flight_count(), 0u);
+  ASSERT_TRUE(session.has_pending()) << "no retransmission queued";
+
+  sim::Simulation copy = b.sim;
+  FaultSession copy_session = session;
+  const std::size_t at = b.sim.trace().size();
+  fault::run_fair_faulted(b.sim, session, {}, nullptr, 600);
+  fault::run_fair_faulted(copy, copy_session, {}, nullptr, 600);
+  // 600 steps and deliveries, plus the fault events among them.
+  const std::vector<sim::Event> future = b.sim.trace().events_from(at);
+  EXPECT_GT(future.size(), 600u);
+  EXPECT_EQ(copy.trace().events_from(at), future);
+  EXPECT_EQ(copy.digest(), b.sim.digest());
+  for (auto kind : {sim::Event::Kind::kDrop, sim::Event::Kind::kDuplicate,
+                    sim::Event::Kind::kRetransmit})
+    EXPECT_TRUE(std::any_of(
+        future.begin(), future.end(),
+        [&](const sim::Event& e) { return e.kind == kind; }))
+        << "the future fired no fault of kind " << static_cast<int>(kind);
+
+  // Advancing the copy alone leaves the original untouched.
+  const std::string original = b.sim.digest();
+  fault::run_fair_faulted(copy, copy_session, {}, nullptr, 300);
+  EXPECT_EQ(b.sim.digest(), original);
+  EXPECT_NE(copy.digest(), original);
 }
 
 // --- trace v2 --------------------------------------------------------------

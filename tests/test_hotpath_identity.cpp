@@ -10,6 +10,7 @@
 //   workload_digests.txt                final + per-process digests
 //   <proto>.<plan>.faulted.trace.jsonl  capture_faulted artifact
 //   schedules.txt                       faulted/random workload outcomes
+//   chaos_plans.txt                     chaos run_once and audit outcomes
 //
 // If a change ever reorders deliveries or fault decisions, changes digest
 // bytes or perturbs trace serialization, these tests fail with a byte diff
@@ -31,6 +32,7 @@
 #include "fault/plan.h"
 #include "fault/session.h"
 #include "impossibility/progress.h"
+#include "obs/flight.h"
 #include "obs/registry.h"
 #include "obs/trace_io.h"
 #include "proto/common/client.h"
@@ -159,7 +161,8 @@ TEST(HotpathIdentity, GoldenTracesReplayByteExact) {
   }
 }
 
-// FNV-1a of a configuration digest: pins the full digest in 16 hex digits.
+// FNV-1a of a string: pins a configuration digest or a flight tail's JSON
+// in 16 hex digits.
 std::string digest_hash(const std::string& digest) {
   std::uint64_t h = 14695981039346656037ull;
   for (unsigned char c : digest) {
@@ -293,6 +296,57 @@ TEST(HotpathIdentity, FaultedAndRandomSchedulesMatchGolden) {
     }
   }
   compare_or_regen("schedules.txt", os.str());
+}
+
+// The hardened chaos path at perfbench chaos-audit's configuration
+// (exactly-once and journal on, 24 transactions, retransmit after 8) over
+// twelve random plans: run_once's outcome and flight tail, then the
+// progress audit's detail and its own fault decisions and event counts
+// under the same options.  naivefast's safety violations carry flight
+// tails; the four correct protocols reach the audit under every rule kind
+// random_plan draws.
+TEST(HotpathIdentity, ChaosPlansMatchGolden) {
+  chaos::CampaignConfig cfg;
+  cfg.cluster.exactly_once = true;
+  cfg.cluster.durable_journal = true;
+  cfg.workload.num_txs = 24;
+  imposs::ProgressOptions popts;
+  popts.cluster = cfg.cluster;
+  popts.client_retransmit_after = cfg.client_retransmit_after;
+  const std::vector<std::string> counters = {
+      "fault.drops",   "fault.delays",      "fault.duplicates",
+      "fault.holds",   "fault.retransmits", "fault.crashes",
+      "fault.restarts", "sim.steps",        "sim.deliveries"};
+
+  std::ostringstream os;
+  for (const std::string name :
+       {"cops", "fatcops", "gentlerain", "wren", "naivefast"}) {
+    auto proto = proto::protocol_by_name(name);
+    for (std::size_t i = 0; i < 12; ++i) {
+      const fault::FaultPlan plan = chaos::random_plan(1, i, cfg.cluster);
+      const chaos::RunOutcome out = chaos::run_once(*proto, plan, cfg);
+      obs::JsonArray tail;
+      for (const auto& e : out.flight)
+        tail.push_back(obs::flight_event_json(e));
+
+      std::vector<std::uint64_t> before;
+      for (const auto& c : counters)
+        before.push_back(obs::Registry::global().value(c));
+      const auto report = imposs::audit_progress(*proto, plan, popts);
+
+      os << name << " " << plan.name << ": "
+         << chaos::violation_class_str(out.violation) << " | " << out.detail
+         << " | incomplete " << out.incomplete << " | flight "
+         << out.flight.size() << " "
+         << digest_hash(obs::Json(std::move(tail)).dump())
+         << " | audit: " << report.detail << " |";
+      for (std::size_t k = 0; k < counters.size(); ++k)
+        os << " " << counters[k] << "="
+           << obs::Registry::global().value(counters[k]) - before[k];
+      os << "\n";
+    }
+  }
+  compare_or_regen("chaos_plans.txt", os.str());
 }
 
 // Snapshot/branching still shares state after the overhaul: a snapshot taken
