@@ -3,6 +3,7 @@
 
 Usage: check_bench_regression.py BASELINE CURRENT [--threshold=0.25]
        check_bench_regression.py --validate-metrics FILE
+       check_bench_regression.py --max-ratio FILE SLOW FAST LIMIT
 
 Two artifact flavors are understood:
 
@@ -29,6 +30,11 @@ The bench job additionally emits a discs.metrics.v1 timeline
 artifact (header line with the right schema, parseable sample lines,
 monotone at_us) so a malformed upload fails the job instead of landing
 silently.
+
+--max-ratio gates how a cost grows rather than what it is, which holds on
+any machine: in one google-benchmark report, the median real time of the
+benchmark named SLOW over that of FAST (e.g. BM_CausalCheck/16384 over
+BM_CausalCheck/1024) must not exceed LIMIT.
 
 Exit status: 0 all guards hold, 1 regression, 2 usage/parse error.
 """
@@ -125,6 +131,39 @@ def validate_metrics(path):
     return 0
 
 
+NS_PER_UNIT = {"ns": 1, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+
+def check_ratio(path, slow, fast, limit):
+    try:
+        with open(path) as f:
+            runs = json.load(f)["benchmarks"]
+    except (OSError, ValueError, KeyError) as e:
+        fail(f"cannot read '{path}': {e}")
+        return 2
+
+    def median_ns(name):
+        times = sorted(
+            b["real_time"] * NS_PER_UNIT[b["time_unit"]]
+            for b in runs
+            if b.get("run_name", b["name"]) == name
+            and b.get("run_type", "iteration") == "iteration"
+        )
+        return times[len(times) // 2] if times else None
+
+    slow_ns, fast_ns = median_ns(slow), median_ns(fast)
+    for name, t in ((slow, slow_ns), (fast, fast_ns)):
+        if not t:
+            fail(f"'{path}' has no timed run of '{name}'")
+            return 1
+    ratio = slow_ns / fast_ns
+    print(
+        f"check_bench_regression: {slow} over {fast} = {ratio:.1f} "
+        f"(limit {limit:g})"
+    )
+    return 0 if ratio <= limit else fail(f"ratio {ratio:.1f} exceeds {limit:g}")
+
+
 def main(argv):
     threshold = 0.25
     paths = []
@@ -134,6 +173,16 @@ def main(argv):
             print(__doc__.strip())
             return 2
         return validate_metrics(args[1])
+    if args and args[0] == "--max-ratio":
+        if len(args) != 5:
+            print(__doc__.strip())
+            return 2
+        try:
+            limit = float(args[4])
+        except ValueError:
+            print(__doc__.strip())
+            return 2
+        return check_ratio(args[1], args[2], args[3], limit)
     for arg in args:
         if arg.startswith("--threshold="):
             threshold = float(arg.split("=", 1)[1])

@@ -4,8 +4,12 @@
 namespace discs::cons {
 
 CheckResult check_read_atomicity(const History& h) {
-  CheckResult result = check_reads_valid(h);
-  CausalGraph g(h);
+  return check_read_atomicity(CausalGraph(h));
+}
+
+CheckResult check_read_atomicity(const CausalGraph& g) {
+  const History& h = g.history;
+  CheckResult result = check_reads_valid(h, g.writers);
 
   // For every transaction T2: if T2 reads some object from writer A (a real
   // transaction), then for every other object Z that A writes and T2 reads,
@@ -16,7 +20,7 @@ CheckResult check_read_atomicity(const History& h) {
     const TxRecord& reader = h.at(t2);
     for (const auto& ra : reader.reads) {
       if (!ra.responded) continue;
-      auto wa = h.writer_of(ra.value);
+      auto wa = g.writers.writer_of(ra.value);
       if (!wa || wa->is_init()) continue;
       std::size_t a = wa->tx_index;
       if (a == t2) continue;
@@ -25,7 +29,7 @@ CheckResult check_read_atomicity(const History& h) {
       for (const auto& rz : reader.reads) {
         if (!rz.responded || rz.object == ra.object) continue;
         if (!h.at(a).writes_object(rz.object)) continue;
-        auto wb = h.writer_of(rz.value);
+        auto wb = g.writers.writer_of(rz.value);
         if (!wb) continue;
         if (!wb->is_init() && wb->tx_index == a) continue;  // same writer: ok
 

@@ -4,8 +4,8 @@
 namespace discs::cons {
 
 CheckResult check_session_guarantees(const History& h) {
-  CheckResult result = check_reads_valid(h);
   CausalGraph g(h);
+  CheckResult result = check_reads_valid(h, g.writers);
 
   for (auto client : h.clients()) {
     auto order = h.client_order(client);
@@ -19,7 +19,7 @@ CheckResult check_session_guarantees(const History& h) {
           const TxRecord& rtx = h.at(order[b]);
           auto seen = rtx.value_read(w.object);
           if (!seen || *seen == w.value) continue;
-          auto sw = h.writer_of(*seen);
+          auto sw = g.writers.writer_of(*seen);
           if (!sw) continue;
           std::size_t wn = CausalGraph::node_of(order[a]);
           std::size_t sn = g.node_of_writer(*sw);
@@ -40,13 +40,13 @@ CheckResult check_session_guarantees(const History& h) {
       const TxRecord& t1 = h.at(order[a]);
       for (const auto& r1 : t1.reads) {
         if (!r1.responded) continue;
-        auto w1 = h.writer_of(r1.value);
+        auto w1 = g.writers.writer_of(r1.value);
         if (!w1) continue;
         for (std::size_t b = a + 1; b < order.size(); ++b) {
           const TxRecord& t2 = h.at(order[b]);
           auto v2 = t2.value_read(r1.object);
           if (!v2 || *v2 == r1.value) continue;
-          auto w2 = h.writer_of(*v2);
+          auto w2 = g.writers.writer_of(*v2);
           if (!w2) continue;
           std::size_t n1 = g.node_of_writer(*w1);
           std::size_t n2 = g.node_of_writer(*w2);

@@ -11,8 +11,8 @@ namespace discs::cons {
 
 CheckResult check_snapshot_isolation(const History& h) {
   // Atomic visibility is necessary for SI.
-  CheckResult result = check_read_atomicity(h);
   CausalGraph g(h);
+  CheckResult result = check_read_atomicity(g);
 
   // Skewed snapshot: transaction T reads X=vx (writer Wx) and Y=vy
   // (writer Wy), but some other transaction T' writes X with
@@ -21,14 +21,15 @@ CheckResult check_snapshot_isolation(const History& h) {
     const TxRecord& reader = h.at(t);
     for (const auto& rx : reader.reads) {
       if (!rx.responded) continue;
-      auto wx = h.writer_of(rx.value);
+      auto wx = g.writers.writer_of(rx.value);
       if (!wx) continue;
       std::size_t wxn = g.node_of_writer(*wx);
       for (const auto& ry : reader.reads) {
         if (!ry.responded || ry.object == rx.object) continue;
-        auto wy = h.writer_of(ry.value);
+        auto wy = g.writers.writer_of(ry.value);
         if (!wy || wy->is_init()) continue;
         std::size_t wyn = g.node_of_writer(*wy);
+        if (!g.may_intervene(wxn, wyn, rx.object)) continue;
         for (std::size_t j = 0; j < h.size(); ++j) {
           std::size_t jn = CausalGraph::node_of(j);
           if (jn == wxn || jn == wyn || jn == CausalGraph::node_of(t))
