@@ -11,6 +11,7 @@
 //   <proto>.<plan>.faulted.trace.jsonl  capture_faulted artifact
 //   schedules.txt                       faulted/random workload outcomes
 //   chaos_plans.txt                     chaos run_once and audit outcomes
+//   copssnow_exclusions.txt             cops-snow digests at depth
 //
 // If a change ever reorders deliveries or fault decisions, changes digest
 // bytes or perturbs trace serialization, these tests fail with a byte diff
@@ -347,6 +348,78 @@ TEST(HotpathIdentity, ChaosPlansMatchGolden) {
     }
   }
   compare_or_regen("chaos_plans.txt", os.str());
+}
+
+// cops-snow's old-reader exclusions at depth.  The goldens above run it for
+// at most 40 transactions, where a version hides from a handful of ROTs;
+// here versions hide from hundreds, and the store digest lists every one.
+// Three shapes: the sequential driver on perfbench's cluster (each log run
+// arrives sorted), the random scheduler (runs arrive out of order), and the
+// random scheduler under duplication and reordering, half of it with
+// exactly-once and the journal on (a duplicated RotRequest logs one ROT
+// twice; the journal keeps a copy of each exclusion list).
+TEST(HotpathIdentity, CopsSnowExclusionsMatchGolden) {
+  auto proto = proto::protocol_by_name("cops-snow");
+  std::ostringstream os;
+  auto record = [&](const std::string& label, const sim::Simulation& sim,
+                    std::size_t incomplete) {
+    const std::string d = sim.digest();
+    os << label << ": events " << sim.trace().size() << " incomplete "
+       << incomplete << " digest " << d.size() << " " << digest_hash(d)
+       << "\n";
+  };
+  proto::ClusterConfig cfg;
+  cfg.num_servers = 4;
+  cfg.num_clients = 6;
+  cfg.num_objects = 8;
+
+  {
+    sim::Simulation sim;
+    proto::IdSource ids;
+    auto cluster = proto->build(sim, cfg, ids);
+    wl::WorkloadConfig wcfg;
+    wcfg.num_txs = 400;
+    wcfg.seed = 1;
+    auto result = wl::run_workload_sequential(sim, *proto, cluster, ids, wcfg);
+    record("sequential 400 seed 1", sim, result.incomplete);
+  }
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    sim::Simulation sim;
+    proto::IdSource ids;
+    auto cluster = proto->build(sim, cfg, ids);
+    wl::WorkloadConfig wcfg;
+    wcfg.num_txs = 250;
+    wcfg.seed = seed;
+    auto result = wl::run_workload_concurrent(sim, *proto, cluster, ids, wcfg);
+    record("concurrent 250 seed " + std::to_string(seed), sim,
+           result.incomplete);
+  }
+  for (std::uint64_t seed = 4; seed <= 6; ++seed) {
+    for (const bool hardened : {false, true}) {
+      proto::ClusterConfig fcfg = cfg;
+      fcfg.exactly_once = hardened;
+      fcfg.durable_journal = hardened;
+      fault::FaultPlan plan;
+      plan.name = "dup-reorder";
+      plan.seed = seed;
+      plan.rules.push_back(fault::duplicate_rule(0.3));
+      plan.rules.push_back(fault::reorder_rule(0.3, 6));
+      sim::Simulation sim;
+      proto::IdSource ids;
+      auto cluster = proto->build(sim, fcfg, ids);
+      fault::FaultSession session(plan,
+                                  {cluster.view.servers, cluster.clients});
+      wl::WorkloadConfig wcfg;
+      wcfg.num_txs = 250;
+      wcfg.seed = seed;
+      auto result = wl::run_workload_concurrent_faulted(sim, *proto, cluster,
+                                                        ids, wcfg, session);
+      record(std::string("faulted 250 seed ") + std::to_string(seed) +
+                 (hardened ? " exactly-once+journal" : " plain"),
+             sim, result.incomplete);
+    }
+  }
+  compare_or_regen("copssnow_exclusions.txt", os.str());
 }
 
 // Snapshot/branching still shares state after the overhaul: a snapshot taken
