@@ -128,6 +128,34 @@ void BM_WorkloadSustained(benchmark::State& state, const std::string& name) {
                                               benchmark::Counter::kIsRate);
 }
 
+/// cops-snow against run length: the sustained sweep at N transactions on
+/// one cluster.  Servers log every ROT they serve, and each write hides its
+/// version from the ROTs that read older versions of its dependencies, so
+/// a version's exclusion list grows with the run and so does the cost of a
+/// write.  CI gates BM_CopsSnowDepth/4000 over BM_CopsSnowDepth/500 (8x the
+/// transactions) as a ratio: sorting each write's list once keeps it near
+/// 20; building the lists as ordered sets read about 70.
+void BM_CopsSnowDepth(benchmark::State& state) {
+  auto protocol = proto::protocol_by_name("cops-snow");
+  std::size_t txs = 0;
+  for (auto _ : state) {
+    sim::Simulation sim;
+    sim.set_trace_retention(false);
+    proto::IdSource ids;
+    proto::Cluster cluster = protocol->build(sim, cluster_config(), ids);
+    wl::WorkloadConfig wcfg;
+    wcfg.num_txs = static_cast<std::size_t>(state.range(0));
+    wcfg.seed = 9;
+    wcfg.collect_history = false;
+    auto result =
+        wl::run_workload_sequential(sim, *protocol, cluster, ids, wcfg);
+    benchmark::DoNotOptimize(result);
+    txs += wcfg.num_txs - result.incomplete;
+  }
+  state.counters["tx/s"] = benchmark::Counter(static_cast<double>(txs),
+                                              benchmark::Counter::kIsRate);
+}
+
 /// The sharded regime (docs/SHARDING.md): the same sustained sweep over a
 /// 64-shard, partially-replicated cluster.  Placement is computed (ShardMap
 /// residue arithmetic), so the comparison against BM_WorkloadSustained
@@ -460,6 +488,10 @@ bool register_benchmarks(bool smoke) {
       benchmark::RegisterBenchmark(shlabel.c_str(), BM_WorkloadSharded,
                                    std::string(name));
     }
+    benchmark::RegisterBenchmark("BM_CopsSnowDepth", BM_CopsSnowDepth)
+        ->Arg(500)
+        ->Arg(4000)
+        ->Unit(benchmark::kMillisecond);
     benchmark::RegisterBenchmark("BM_ShardMapMillionKeys",
                                  BM_ShardMapMillionKeys);
     // History sizes: 50 txs ≈ hundreds of events, 1600 txs ≥ 10k events

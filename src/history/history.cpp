@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 #include <sstream>
+#include <tuple>
 
 #include "util/check.h"
 #include "util/fmt.h"
@@ -69,8 +70,9 @@ std::vector<std::size_t> History::client_order(ProcessId client) const {
   std::vector<std::size_t> idx;
   for (std::size_t i = 0; i < txs_.size(); ++i)
     if (txs_[i].client == client) idx.push_back(i);
+  // Ties (one invocation time) keep history order, whatever the sort does.
   std::sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
-    return txs_[a].invoke_seq < txs_[b].invoke_seq;
+    return std::tie(txs_[a].invoke_seq, a) < std::tie(txs_[b].invoke_seq, b);
   });
   return idx;
 }

@@ -92,7 +92,8 @@ class History {
   /// complete(H): the sub-history of completed transactions only.
   History complete() const;
 
-  /// H|c: indices of transactions issued by client c, in invocation order.
+  /// H|c: indices of transactions issued by client c, in invocation order;
+  /// transactions invoked at the same time keep their history order.
   std::vector<std::size_t> client_order(ProcessId client) const;
   std::vector<ProcessId> clients() const;
 

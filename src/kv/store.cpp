@@ -1,9 +1,11 @@
 #include "kv/store.h"
 
 #include <algorithm>
+#include <functional>
 #include <sstream>
 
 #include "obs/registry.h"
+#include "util/check.h"
 #include "util/fmt.h"
 
 namespace discs::kv {
@@ -101,7 +103,10 @@ const Version* VersionedStore::find_value(ObjectId obj, ValueId value) const {
 }
 
 bool VersionedStore::make_visible(ObjectId obj, ValueId value,
-                                  std::set<TxId> invisible_to) {
+                                  std::vector<TxId> invisible_to) {
+  DISCS_CHECK(std::adjacent_find(invisible_to.begin(), invisible_to.end(),
+                                 std::greater_equal<>()) ==
+              invisible_to.end());
   if (!stores(obj)) return false;
   // Locate the version in the shared chain first so a miss does not clone.
   const Chain& shared = *chains_->find(obj)->second;

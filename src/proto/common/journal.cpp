@@ -27,12 +27,12 @@ void Journal::record_put(ObjectId obj, const kv::Version& v) {
 }
 
 void Journal::record_make_visible(ObjectId obj, ValueId value,
-                                  const std::set<TxId>& invisible_to) {
+                                  std::vector<TxId> invisible_to) {
   JournalRecord r;
   r.kind = JournalRecord::Kind::kMakeVisible;
   r.obj = obj;
   r.value = value;
-  r.invisible_to = invisible_to;
+  r.invisible_to = std::move(invisible_to);
   records_.push_back(std::move(r));
   obs::Registry::global().inc("server.journal.appends");
 }

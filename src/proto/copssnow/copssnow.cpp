@@ -1,9 +1,42 @@
 #include "proto/copssnow/copssnow.h"
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+
 #include "util/check.h"
 #include "util/fmt.h"
 
 namespace discs::proto::copssnow {
+
+void sort_unique(std::vector<TxId>& ids) {
+  if (ids.size() < 2) return;
+  std::uint64_t lo = ids.front().value(), hi = lo;
+  for (TxId t : ids) {
+    lo = std::min(lo, t.value());
+    hi = std::max(hi, t.value());
+  }
+  const std::size_t words = static_cast<std::size_t>((hi - lo) / 64) + 1;
+  if (words > ids.size()) {
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    return;
+  }
+  // Scratch, not server state: not digested, not copied by clone().
+  // Thread-local because the rt backend runs servers on several workers.
+  thread_local std::vector<std::uint64_t> bits;
+  bits.assign(words, 0);
+  for (TxId t : ids) {
+    const std::uint64_t off = t.value() - lo;
+    bits[off / 64] |= std::uint64_t{1} << (off % 64);
+  }
+  std::size_t n = 0;  // the unique ids never outnumber the input
+  for (std::size_t w = 0; w < words; ++w)
+    for (std::uint64_t b = bits[w]; b != 0; b &= b - 1)
+      ids[n++] = TxId(lo + 64 * w +
+                      static_cast<std::uint64_t>(std::countr_zero(b)));
+  ids.resize(n);
+}
 
 void Client::start_tx(sim::StepContext& ctx, const TxSpec& spec) {
   router_.reset();
@@ -66,22 +99,21 @@ std::string Client::proto_digest() const {
   return b.str();
 }
 
-std::vector<TxId> Server::old_readers_of(ObjectId object,
-                                         clk::HlcTimestamp ts) const {
-  std::vector<TxId> out;
+void Server::append_old_readers(std::vector<TxId>& out, ObjectId object,
+                                clk::HlcTimestamp ts) const {
   auto it = served_.find(object);
-  if (it == served_.end()) return out;
+  if (it == served_.end()) return;
   for (const auto& [rot, served_ts] : it->second)
     if (served_ts < ts) out.push_back(rot);
-  return out;
 }
 
 void Server::finalize_write(sim::StepContext& ctx, TxId wtx) {
   auto it = pending_.find(wtx);
   DISCS_CHECK(it != pending_.end());
   PendingWrite& pw = it->second;
-  std::set<TxId> hidden = pw.old_readers;
-  bool ok = store_mut().make_visible(pw.object, pw.value, std::move(hidden));
+  sort_unique(pw.old_readers);
+  bool ok = store_mut().make_visible(pw.object, pw.value,
+                                     std::move(pw.old_readers));
   DISCS_CHECK(ok);
 
   auto reply = std::make_shared<WriteReply>();
@@ -132,8 +164,7 @@ void Server::on_message(sim::StepContext& ctx, const sim::Message& m) {
     for (const auto& dep : req->deps) {
       ProcessId owner = view().primary(dep.object);
       if (owner == id()) {
-        for (auto rot : old_readers_of(dep.object, dep.ts))
-          pw.old_readers.insert(rot);
+        append_old_readers(pw.old_readers, dep.object, dep.ts);
       } else {
         remote[owner].emplace_back(dep.object, dep.ts);
       }
@@ -155,10 +186,9 @@ void Server::on_message(sim::StepContext& ctx, const sim::Message& m) {
   if (const auto* q = m.as<OldReaderQuery>()) {
     auto reply = std::make_shared<OldReaderReply>();
     reply->wtx = q->wtx;
-    std::set<TxId> readers;
     for (const auto& [obj, ts] : q->deps)
-      for (auto rot : old_readers_of(obj, ts)) readers.insert(rot);
-    reply->old_readers.assign(readers.begin(), readers.end());
+      append_old_readers(reply->old_readers, obj, ts);
+    sort_unique(reply->old_readers);
     ctx.send(m.src, reply);
     return;
   }
@@ -166,7 +196,9 @@ void Server::on_message(sim::StepContext& ctx, const sim::Message& m) {
   if (const auto* r = m.as<OldReaderReply>()) {
     auto it = pending_.find(r->wtx);
     if (it == pending_.end()) return;
-    for (auto rot : r->old_readers) it->second.old_readers.insert(rot);
+    it->second.old_readers.insert(it->second.old_readers.end(),
+                                  r->old_readers.begin(),
+                                  r->old_readers.end());
     DISCS_CHECK(it->second.replies_outstanding > 0);
     if (--it->second.replies_outstanding == 0) finalize_write(ctx, r->wtx);
     return;

@@ -13,13 +13,22 @@
 #pragma once
 
 #include <map>
-#include <set>
+#include <vector>
 
 #include "clock/clocks.h"
 #include "proto/common/client.h"
 #include "proto/common/server.h"
 
 namespace discs::proto::copssnow {
+
+/// Sorts `ids` and drops its duplicates, in place.  A write gathers its old
+/// readers from several logs and replies, with duplicates (a ROT that read
+/// two of its dependencies, or was served twice); this turns them into the
+/// sorted, unique list that a reply carries and a version stores.  The ids
+/// a cluster mints are consecutive, so when the gathered ids span at most
+/// 64 times their count, one pass over a bitmap of the span replaces the
+/// sort.
+void sort_unique(std::vector<TxId>& ids);
 
 class Client : public ClientBase {
  public:
@@ -60,13 +69,16 @@ class Server : public ServerBase {
     ValueId value;
     ProcessId client;
     std::size_t replies_outstanding = 0;
-    std::set<TxId> old_readers;
+    /// Old readers gathered so far, in arrival order and with duplicates;
+    /// sort_unique'd once, when the write becomes visible.
+    std::vector<TxId> old_readers;
     clk::HlcTimestamp ts;
   };
 
-  /// ROTs that read versions of `object` older than `ts`.
-  std::vector<TxId> old_readers_of(ObjectId object,
-                                   clk::HlcTimestamp ts) const;
+  /// Appends to `out`, in log order, the ROTs that read versions of
+  /// `object` older than `ts`.
+  void append_old_readers(std::vector<TxId>& out, ObjectId object,
+                          clk::HlcTimestamp ts) const;
   void finalize_write(sim::StepContext& ctx, TxId wtx);
 
   clk::HybridLogicalClock hlc_;

@@ -86,9 +86,10 @@ const T* payload_as(const Payload* p) {
 
 /// Builds an immutable payload on the thread-local pool (util/pool.h):
 /// object and shared_ptr control block land in one pooled allocation via
-/// allocate_shared.  This is the allocation path for ALL protocol sends —
-/// StepContext::send_make and the simulator's own BatchPayload wrapping go
-/// through it.
+/// allocate_shared.  The simulator's BatchPayload wrapping and the
+/// exactly-once layer's SessionEnvelope go through it.  Protocol handlers
+/// do not: they build their payloads with std::make_shared, on the global
+/// heap, and send() them.
 template <class T, class... Args>
 std::shared_ptr<const T> make_payload(Args&&... args) {
   return std::allocate_shared<T>(util::PoolAllocator<T>(),

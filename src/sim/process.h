@@ -57,9 +57,9 @@ class StepContext {
     outgoing_.emplace_back(dst, std::move(payload));
   }
 
-  /// Builds the payload on the thread-local pool (sim::make_payload) —
-  /// every protocol send allocates through the arena without the protocol
-  /// code knowing.
+  /// Builds the payload on the thread-local pool (sim::make_payload).  No
+  /// protocol calls it: their handlers build payloads with std::make_shared
+  /// and send() them, so protocol payloads live on the global heap.
   template <class P, class... Args>
   void send_make(ProcessId dst, Args&&... args) {
     send(dst, make_payload<P>(std::forward<Args>(args)...));

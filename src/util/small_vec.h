@@ -1,11 +1,12 @@
 // Small-size-optimized vector for trivially copyable simulator types.
 //
 // Version chains carry per-version metadata sets (COPS-SNOW's per-reader
-// exclusions) that are empty or tiny for almost every version, yet
-// std::set pays a heap node per element and a pointer chase per lookup —
-// and every COW chain clone copies those nodes.  SmallVec keeps up to N
-// elements inline in the owning object; only oversized outliers spill to
-// the heap (through util::Pool for pooled sizes).
+// exclusions).  Most protocols leave them empty, while a COPS-SNOW version
+// can hide from hundreds of readers; std::set pays a heap node per element
+// and a pointer chase per lookup, and every COW chain clone copies those
+// nodes.  SmallVec keeps up to N elements inline in the owning object;
+// larger ones spill to one heap array (through util::Pool for pooled
+// sizes).
 //
 // Deliberately minimal: trivially copyable element types only (ids,
 // timestamps), grow-only capacity, plus sorted-insert helpers so a SmallVec
@@ -16,6 +17,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstring>
+#include <iterator>
 #include <type_traits>
 
 #include "util/pool.h"
@@ -73,10 +75,15 @@ class SmallVec {
     data()[size_++] = v;
   }
 
+  /// Replaces the contents with [first, last), in at most one allocation
+  /// of exactly the range's size.
   template <class It>
   void assign(It first, It last) {
     clear();
-    for (; first != last; ++first) push_back(*first);
+    const auto n = static_cast<std::size_t>(std::distance(first, last));
+    if (n > cap_) grow(n);
+    std::copy(first, last, data());
+    size_ = n;
   }
 
   /// Ordered-set operations: keep elements sorted and unique, so iteration
@@ -109,9 +116,7 @@ class SmallVec {
     return reinterpret_cast<const T*>(inline_);
   }
 
-  void grow(std::size_t want) {
-    std::size_t cap = cap_;
-    while (cap < want) cap *= 2;
+  void grow(std::size_t cap) {
     T* fresh = static_cast<T*>(Pool::allocate(cap * sizeof(T)));
     std::memcpy(fresh, data(), size_ * sizeof(T));
     release();

@@ -58,6 +58,21 @@ TEST(History, ClientOrderFollowsInvocationTime) {
   EXPECT_EQ(h.clients().size(), 2u);
 }
 
+// Transactions of one client that share an invocation time keep their
+// history order.  Twenty ties: std::sort leaves runs of 16 or fewer to an
+// insertion sort, which happens to keep them in order.
+TEST(History, ClientOrderBreaksTiesByIndex) {
+  History h;
+  for (std::uint64_t i = 0; i < 20; ++i)
+    h.add(make_tx(i + 1, 7, {}, {{0, i + 1}}, /*invoke=*/3));
+  h.add(make_tx(21, 7, {}, {{0, 21}}, /*invoke=*/1));
+  auto order = h.client_order(ProcessId(7));
+  ASSERT_EQ(order.size(), 21u);
+  EXPECT_EQ(order.front(), 20u);
+  for (std::size_t k = 1; k < order.size(); ++k)
+    EXPECT_EQ(order[k], k - 1) << "position " << k;
+}
+
 TEST(History, CompleteFiltersIncomplete) {
   History h;
   auto t = make_tx(1, 1, {}, {{0, 1}});

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "kv/store.h"
+#include "util/check.h"
 
 namespace discs::kv {
 namespace {
@@ -71,6 +72,22 @@ TEST(Store, MakeVisibleWithExclusions) {
   EXPECT_EQ(s.latest_visible(x)->value, ValueId(2));
   EXPECT_FALSE(s.make_visible(x, ValueId(99)));
   EXPECT_FALSE(s.make_visible(ObjectId(42), ValueId(1)));
+}
+
+// make_visible adopts its exclusion list as given, so the list must already
+// be sorted and unique; anything else is rejected before the store changes.
+TEST(Store, MakeVisibleRejectsUnsortedOrDuplicateExclusions) {
+  VersionedStore s;
+  ObjectId x(0);
+  s.put(x, v(1, 1, /*visible=*/false));
+  const std::string before = s.digest();
+  EXPECT_THROW(s.make_visible(x, ValueId(1), {TxId(5), TxId(3)}),
+               CheckFailure);
+  EXPECT_THROW(s.make_visible(x, ValueId(1), {TxId(3), TxId(3)}),
+               CheckFailure);
+  EXPECT_EQ(s.digest(), before);
+  EXPECT_TRUE(s.make_visible(x, ValueId(1), {TxId(3), TxId(5), TxId(9)}));
+  EXPECT_EQ(s.chain(x).front().invisible_to.size(), 3u);
 }
 
 TEST(Store, FindValueAndObjects) {

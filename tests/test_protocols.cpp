@@ -4,11 +4,16 @@
 // histories under both sequential and adversarially randomized schedules.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <set>
+
 #include "consistency/checkers.h"
 #include "impossibility/properties.h"
 #include "proto/common/client.h"
+#include "proto/copssnow/copssnow.h"
 #include "proto/registry.h"
 #include "sim/schedule.h"
+#include "util/rng.h"
 #include "workload/workload.h"
 
 namespace discs {
@@ -170,6 +175,54 @@ INSTANTIATE_TEST_SUITE_P(
         if (c == '-') c = '_';
       return n;
     });
+
+// cops-snow gathers a write's old readers as runs, one per dependency log
+// or reply, and sort_unique turns them into the sorted, unique exclusion
+// list.  Against a std::set of the same ids, over random runs: empty and
+// single-id inputs, sorted and unsorted runs, duplicates within a run and
+// across runs, ids dense enough for the bitmap and sparse enough for the
+// sort, and ids at both ends of the 64-bit range.
+TEST(CopsSnowSortUnique, MatchesStdSetOverRandomRuns) {
+  auto check = [](std::vector<TxId> ids) {
+    const std::set<TxId> ref(ids.begin(), ids.end());
+    proto::copssnow::sort_unique(ids);
+    EXPECT_EQ(ids, std::vector<TxId>(ref.begin(), ref.end()));
+  };
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  check({});
+  check({TxId(5)});
+  check({TxId(9), TxId(9), TxId(9)});
+  check({TxId(0), TxId(63), TxId(64), TxId(127), TxId(64), TxId(0)});
+  check({TxId(kMax - 1), TxId(0), TxId(kMax - 1), TxId(3)});
+  check({TxId(kMax - 2), TxId(kMax - 1), TxId(kMax - 70), TxId(kMax - 2)});
+
+  Rng rng(20);
+  for (int trial = 0; trial < 3000; ++trial) {
+    const std::uint64_t base = rng.chance(0.1) ? kMax - 5000 : rng.below(1000);
+    const std::uint64_t span =
+        rng.chance(0.5) ? 1 + rng.below(3000) : std::uint64_t{1} << 40;
+    std::vector<TxId> ids;
+    std::vector<TxId> prev;
+    const std::size_t runs = rng.below(6);
+    for (std::size_t r = 0; r < runs; ++r) {
+      std::vector<TxId> run;
+      if (!prev.empty() && rng.chance(0.2)) {
+        run = prev;  // the same ROTs through a second dependency
+      } else {
+        const std::size_t len = rng.chance(0.2) ? 1 : rng.below(400);
+        for (std::size_t i = 0; i < len; ++i)
+          run.push_back(TxId(base + rng.below(span)));
+        if (rng.chance(0.6)) std::sort(run.begin(), run.end());
+      }
+      if (!run.empty() && rng.chance(0.3))  // a ROT served twice
+        run.insert(run.begin() + rng.below(run.size()),
+                   run[rng.below(run.size())]);
+      ids.insert(ids.end(), run.begin(), run.end());
+      prev = std::move(run);
+    }
+    check(std::move(ids));
+  }
+}
 
 }  // namespace
 }  // namespace discs
