@@ -299,21 +299,22 @@ struct InspectFilter {
   std::optional<std::uint64_t> process;
   std::optional<std::string> kind;
 
-  bool matches(const obs::ExportedEvent& e) const {
+  bool matches(const obs::TraceDoc& doc, const obs::ExportedEvent& e) const {
+    const obs::ExportedMessage* msg = doc.message(e);
     if (process) {
       ProcessId p(*process);
-      bool hit = false;
-      if (e.event.kind == sim::Event::Kind::kStep) hit = (e.event.process == p);
-      if (e.delivered) hit |= (e.delivered->src == p || e.delivered->dst == p);
-      for (const auto& m : e.sent) hit |= (m.src == p || m.dst == p);
-      for (const auto& m : e.consumed) hit |= (m.src == p || m.dst == p);
+      // Steps, crashes and restarts name a process; the rest a message.
+      bool hit = !msg && e.event.process == p;
+      if (msg) hit |= (msg->src == p || msg->dst == p);
+      for (const auto& m : doc.sent(e)) hit |= (m.src == p || m.dst == p);
+      for (const auto& m : doc.consumed(e)) hit |= (m.src == p || m.dst == p);
       if (!hit) return false;
     }
     if (kind) {
       bool hit = false;
-      if (e.delivered) hit |= (e.delivered->kind == *kind);
-      for (const auto& m : e.sent) hit |= (m.kind == *kind);
-      for (const auto& m : e.consumed) hit |= (m.kind == *kind);
+      if (msg) hit |= (msg->kind == *kind);
+      for (const auto& m : doc.sent(e)) hit |= (m.kind == *kind);
+      for (const auto& m : doc.consumed(e)) hit |= (m.kind == *kind);
       if (!hit) return false;
     }
     return true;
@@ -344,18 +345,22 @@ int cmd_inspect(const std::string& path, const InspectFilter& filter) {
   std::cout << "):\n";
   std::size_t shown = 0;
   for (const auto& e : doc->events) {
-    if (!filter.matches(e)) continue;
+    if (!filter.matches(*doc, e)) continue;
     ++shown;
-    std::cout << "  #" << e.seq << " ";
-    if (e.event.kind == sim::Event::Kind::kStep) {
-      std::cout << "step " << to_string(e.event.process) << "\n";
-      for (const auto& m : e.consumed)
-        std::cout << "      consumed " << message_line(m) << "\n";
-      for (const auto& m : e.sent)
-        std::cout << "      sent     " << message_line(m) << "\n";
-    } else {
-      std::cout << "deliver " << message_line(*e.delivered) << "\n";
+    std::cout << "  #" << e.seq << " " << obs::event_kind_str(e.event.kind)
+              << " ";
+    if (const obs::ExportedMessage* m = doc->message(e)) {
+      std::cout << message_line(*m) << "\n";
+      continue;
     }
+    std::cout << to_string(e.event.process);
+    if (e.event.kind == sim::Event::Kind::kCrash)
+      std::cout << (e.event.lossy ? " lossy" : " recover");
+    std::cout << "\n";
+    for (const auto& m : doc->consumed(e))
+      std::cout << "      consumed " << message_line(m) << "\n";
+    for (const auto& m : doc->sent(e))
+      std::cout << "      sent     " << message_line(m) << "\n";
   }
   std::cout << "  (" << shown << " shown)\n";
 

@@ -25,12 +25,9 @@ WriterIndex::WriterIndex(const History& h) {
   }
   for (std::size_t i = 0; i < h.size(); ++i) {
     const auto& writes = h.at(i).writes;
-    for (auto w = writes.begin(); w != writes.end(); ++w) {
-      writer_.emplace_back(w->value, i + 1);
-      // value_written reports a transaction's first write to each object.
-      auto same_object = [&](const auto& e) { return e.object == w->object; };
-      if (std::none_of(writes.begin(), w, same_object))
-        written_.emplace_back(w->object, w->value);
+    for (const auto& w : writes) {
+      writer_.emplace_back(w.value, i + 1);
+      written_.emplace_back(w.object, w.value);
     }
   }
   // Keep the lowest key per value: initial (0), then the lowest tx index.

@@ -80,8 +80,11 @@ class WriterIndex {
   /// The same answer as History::writer_of(value).
   std::optional<Writer> writer_of(ValueId value) const;
 
-  /// True iff `value` is obj's declared initial value or the value some
-  /// transaction writes first to obj (TxRecord::value_written).
+  /// True iff `value` is obj's declared initial value or a value some
+  /// transaction writes to obj, its second write to obj as much as its
+  /// first.  The own-write rule is not this one: a transaction that writes
+  /// and reads obj must read its first write to obj
+  /// (TxRecord::value_written).
   bool written_to(ObjectId obj, ValueId value) const;
 
  private:

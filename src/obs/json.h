@@ -15,7 +15,8 @@
 //     its buffer without a tree.
 //   - JsonCursor is the one tokenizer.  Json::parse builds its tree on it,
 //     and obs/trace_io's importer pulls each record's fields from it
-//     without one.  Both accept exactly the same texts.
+//     without one (and skips a repeated message by its bytes, rest() and
+//     advance()).  Both accept exactly the same texts.
 #pragma once
 
 #include <cstdint>
@@ -165,6 +166,18 @@ class JsonCursor {
     if (consume_word("false")) return false;
     fail("not a bool");
   }
+  /// The text from the next significant character on: the next value and
+  /// everything after it.  With advance() a reader can take a value it
+  /// recognizes by its bytes without reading it.
+  std::string_view rest() {
+    skip_ws();
+    return text_.substr(pos_);
+  }
+  /// Consumes the first `n` bytes of rest(), which must be whole values.
+  void advance(std::size_t n) { pos_ += n; }
+  /// Bytes consumed so far.
+  std::size_t offset() const { return pos_; }
+
   /// Any one value, as a tree.
   Json read_value();
   /// Validates and skips any one value.

@@ -71,23 +71,20 @@ SpanDag::SpanDag(const TraceDoc& doc) : doc_(doc) {
   // is what latency attribution wants.
   for (const auto& e : doc.events) {
     if (e.event.kind == sim::Event::Kind::kStep) {
-      for (const auto& m : e.consumed) {
+      for (const auto& m : doc.consumed(e)) {
         auto& mt = msgs_[m.id.value()];
         if (!mt.msg) { mt.src = m.src; mt.dst = m.dst; mt.msg = &m; }
         if (!mt.consumed_at) mt.consumed_at = e.seq;
       }
-      for (const auto& m : e.sent) {
+      for (const auto& m : doc.sent(e)) {
         auto& mt = msgs_[m.id.value()];
         if (!mt.msg) { mt.src = m.src; mt.dst = m.dst; mt.msg = &m; }
         if (!mt.sent_at) mt.sent_at = e.seq;
       }
-    } else if (e.event.kind == sim::Event::Kind::kDeliver && e.delivered) {
-      auto& mt = msgs_[e.delivered->id.value()];
-      if (!mt.msg) {
-        mt.src = e.delivered->src;
-        mt.dst = e.delivered->dst;
-        mt.msg = &*e.delivered;
-      }
+    } else if (e.event.kind == sim::Event::Kind::kDeliver && doc.message(e)) {
+      const ExportedMessage& m = *doc.message(e);
+      auto& mt = msgs_[m.id.value()];
+      if (!mt.msg) { mt.src = m.src; mt.dst = m.dst; mt.msg = &m; }
       if (!mt.delivered_at) mt.delivered_at = e.seq;
     }
   }
@@ -136,7 +133,7 @@ RotProfile SpanDag::profile(TxId tx) const {
 
     if (p == ti.client) {
       bool sent_request = false;
-      for (const auto& m : e.sent) {
+      for (const auto& m : doc_.sent(e)) {
         if (!is_server(m.dst) || !contains(m.req_txs, tx.value())) continue;
         sent_request = true;
         for (const auto& [t, obj] : m.req_objs)
@@ -149,12 +146,12 @@ RotProfile SpanDag::profile(TxId tx) const {
     if (!is_server(p)) continue;
 
     bool consumed_request = false;
-    for (const auto& m : e.consumed)
+    for (const auto& m : doc_.consumed(e))
       if (m.src == ti.client && contains(m.req_txs, tx.value()))
         consumed_request = true;
 
     bool replied = false;
-    for (const auto& m : e.sent) {
+    for (const auto& m : doc_.sent(e)) {
       if (m.dst != ti.client || !contains(m.rep_txs, tx.value())) continue;
       replied = true;
       out.reply_bytes += m.bytes;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <charconv>
 #include <initializer_list>
 #include <optional>
 #include <utility>
@@ -72,15 +73,15 @@ void sort_invokes(std::vector<InvokeRecord>& invokes) {
             });
 }
 
-ExportedEvent export_event_record(const sim::EventRecord& rec, bool spans,
-                                  bool& fault) {
-  ExportedEvent e;
+void DocBuilder::add(const sim::EventRecord& rec) {
+  ExportedEvent& e = doc_.events.emplace_back();
   e.event = rec.event;
   e.seq = rec.seq;
-  for (const auto& m : rec.consumed)
-    e.consumed.push_back(ExportedMessage::from(m, spans));
-  for (const auto& m : rec.sent)
-    e.sent.push_back(ExportedMessage::from(m, spans));
+  e.first = static_cast<std::uint32_t>(doc_.refs.size());
+  e.consumed = static_cast<std::uint32_t>(rec.consumed.size());
+  e.sent = static_cast<std::uint32_t>(rec.sent.size());
+  for (const auto& m : rec.consumed) doc_.refs.push_back(entry(m));
+  for (const auto& m : rec.sent) doc_.refs.push_back(entry(m));
   switch (rec.event.kind) {
     case sim::Event::Kind::kStep:
       break;
@@ -88,15 +89,31 @@ ExportedEvent export_event_record(const sim::EventRecord& rec, bool spans,
     case sim::Event::Kind::kDrop:
     case sim::Event::Kind::kDuplicate:
     case sim::Event::Kind::kRetransmit:
-      e.delivered = ExportedMessage::from(rec.delivered, spans);
-      fault |= rec.event.kind != sim::Event::Kind::kDeliver;
+      e.msg = entry(rec.delivered);
+      any_fault_ |= rec.event.kind != sim::Event::Kind::kDeliver;
       break;
     case sim::Event::Kind::kCrash:
     case sim::Event::Kind::kRestart:
-      fault = true;
+      any_fault_ = true;
       break;
   }
-  return e;
+}
+
+std::uint32_t DocBuilder::entry(const sim::Message& m) {
+  const auto [it, fresh] = latest_.try_emplace(m.id.value(), 0);
+  if (!fresh && payloads_[it->second] == m.payload.get()) return it->second;
+  it->second = static_cast<std::uint32_t>(doc_.messages.size());
+  doc_.messages.push_back(ExportedMessage::from(m, spans_));
+  payloads_.push_back(m.payload.get());
+  return it->second;
+}
+
+void DocBuilder::clear() {
+  doc_.events.clear();
+  doc_.messages.clear();
+  doc_.refs.clear();
+  latest_.clear();
+  payloads_.clear();
 }
 
 TraceDoc make_doc(const proto::Protocol& protocol, std::string scenario,
@@ -109,15 +126,15 @@ TraceDoc make_doc(const proto::Protocol& protocol, std::string scenario,
   doc.initial = cluster.initial_values;
   doc.invokes = std::move(invokes);
   sort_invokes(doc.invokes);
-  const bool spans = cfg.record_spans;
-  bool any_fault = false;
-  for (const auto& rec : sim.trace().records())
-    doc.events.push_back(export_event_record(rec, spans, any_fault));
+  const auto& records = sim.trace().records();
+  doc.events.reserve(records.size());
+  DocBuilder builder(doc, cfg.record_spans);
+  for (const auto& rec : records) builder.add(rec);
   // Fault-free documents keep the v1 header so their bytes are identical to
   // what a v1 exporter wrote (see trace_io.h).
-  doc.schema = any_fault ? std::string(kTraceSchemaV2)
-                         : std::string(kTraceSchema);
-  if (spans) doc.spans = SpanLog::global().notes();
+  doc.schema = builder.any_fault() ? std::string(kTraceSchemaV2)
+                                   : std::string(kTraceSchema);
+  if (cfg.record_spans) doc.spans = SpanLog::global().notes();
   doc.history = proto::collect_history(sim, cluster.clients,
                                        cluster.initial_values);
   doc.final_digest = sim.digest();
@@ -173,7 +190,7 @@ ClusterConfig cluster_config_from_json(const Json& j) {
 
 namespace {
 
-/// Event kinds by wire name: the writer's and the reader's one table.
+/// Event kinds by wire name.
 constexpr std::pair<sim::Event::Kind, std::string_view> kEventKinds[] = {
     {sim::Event::Kind::kStep, "step"},
     {sim::Event::Kind::kDeliver, "deliver"},
@@ -183,12 +200,16 @@ constexpr std::pair<sim::Event::Kind, std::string_view> kEventKinds[] = {
     {sim::Event::Kind::kCrash, "crash"},
     {sim::Event::Kind::kRestart, "restart"}};
 
+}  // namespace
+
 std::string_view event_kind_str(sim::Event::Kind kind) {
   for (const auto& [k, name] : kEventKinds)
     if (k == kind) return name;
   DISCS_CHECK_MSG(false, "trace: unnamed event kind");
   return {};
 }
+
+namespace {
 
 std::optional<sim::Event::Kind> event_kind_from(std::string_view name) {
   for (const auto& [k, n] : kEventKinds)
@@ -260,7 +281,8 @@ void append_msg(std::string& out, const ExportedMessage& m) {
   out += '}';
 }
 
-void append_msgs(std::string& out, const std::vector<ExportedMessage>& ms) {
+template <class Messages>
+void append_msgs(std::string& out, const Messages& ms) {
   append_list(out, ms, [&](const ExportedMessage& m) { append_msg(out, m); });
 }
 
@@ -483,8 +505,15 @@ void read_msg(JsonCursor& c, ExportedMessage& m) {
   f.require({kId, kSrc, kDst, kKind, kDesc, kValues, kBytes});
 }
 
-void read_msgs(JsonCursor& c, std::vector<ExportedMessage>& out) {
-  read_list(c, [&] { read_msg(c, out.emplace_back()); });
+/// The id a message object written the writer's way starts with.
+std::optional<std::uint64_t> leading_id(std::string_view object) {
+  constexpr std::string_view kOpen = "{\"id\":";
+  if (!object.starts_with(kOpen)) return std::nullopt;
+  std::uint64_t id = 0;
+  const char* end = object.data() + object.size();
+  if (std::from_chars(object.data() + kOpen.size(), end, id).ec != std::errc())
+    return std::nullopt;
+  return id;
 }
 
 TxSpec read_tx_spec(JsonCursor& c) {
@@ -613,6 +642,45 @@ class Importer {
   TraceDoc doc_;
   bool saw_header_ = false;
   bool saw_footer_ = false;
+  /// Per message id: its first entry, and the bytes of the first object
+  /// read for it (a view into the imported text).
+  struct First {
+    std::uint32_t entry;
+    std::string_view bytes;
+  };
+  std::unordered_map<std::uint64_t, First> first_;
+  std::vector<std::uint32_t> consumed_, sent_;  ///< one step's, reused
+
+  /// Reads one message object and returns its table entry.  A repeat in
+  /// the bytes of its id's first object is that entry and is not parsed;
+  /// any other object is parsed, and takes its id's first entry only when
+  /// every field equals it.  Either way the object's text is consumed, and
+  /// a malformed one is rejected exactly as the parser rejects it.
+  std::uint32_t read_msg_ref(JsonCursor& c) {
+    const std::string_view rest = c.rest();
+    if (const auto id = leading_id(rest)) {
+      const auto it = first_.find(*id);
+      if (it != first_.end() && rest.starts_with(it->second.bytes)) {
+        c.advance(it->second.bytes.size());
+        return it->second.entry;
+      }
+    }
+    const std::size_t start = c.offset();
+    ExportedMessage m;
+    read_msg(c, m);
+    const auto i = static_cast<std::uint32_t>(doc_.messages.size());
+    const auto [it, fresh] = first_.try_emplace(
+        m.id.value(), First{i, rest.substr(0, c.offset() - start)});
+    if (!fresh && doc_.messages[it->second.entry] == m)
+      return it->second.entry;
+    doc_.messages.push_back(std::move(m));
+    return i;
+  }
+
+  void read_msg_refs(JsonCursor& c, std::vector<std::uint32_t>& out) {
+    out.clear();
+    read_list(c, [&] { out.push_back(read_msg_ref(c)); });
+  }
 
   void header(std::string_view line) {
     DISCS_CHECK_MSG(!saw_header_, "trace: duplicate header");
@@ -684,15 +752,15 @@ class Importer {
           else c.skip_value();
           break;
         case kConsumed:
-          if (step) read_msgs(c, e.consumed);
+          if (step) read_msg_refs(c, consumed_);
           else c.skip_value();
           break;
         case kSent:
-          if (step) read_msgs(c, e.sent);
+          if (step) read_msg_refs(c, sent_);
           else c.skip_value();
           break;
         case kMsg:
-          if (!names_process) read_msg(c, e.delivered.emplace());
+          if (!names_process) e.msg = read_msg_ref(c);
           else c.skip_value();
           break;
         case kLossy:
@@ -702,7 +770,15 @@ class Importer {
       }
     }
     f.require({kSeq});
-    if (step) f.require({kProcess, kConsumed, kSent});
+    if (step) {
+      f.require({kProcess, kConsumed, kSent});
+      // Consumed before sent in refs, whichever the line put first.
+      e.first = static_cast<std::uint32_t>(doc_.refs.size());
+      e.consumed = static_cast<std::uint32_t>(consumed_.size());
+      e.sent = static_cast<std::uint32_t>(sent_.size());
+      doc_.refs.insert(doc_.refs.end(), consumed_.begin(), consumed_.end());
+      doc_.refs.insert(doc_.refs.end(), sent_.begin(), sent_.end());
+    }
     if (crash) f.require({kProcess, kLossy});
     if (names_process) {
       f.require({kProcess});
@@ -710,7 +786,8 @@ class Importer {
     } else {
       // deliver / drop / dup / retransmit: one affected message each.
       f.require({kMsg});
-      e.event = sim::Event{*kind, ProcessId::invalid(), e.delivered->id};
+      e.event =
+          sim::Event{*kind, ProcessId::invalid(), doc_.messages[e.msg].id};
     }
     DISCS_CHECK_MSG(e.seq + 1 == doc_.events.size(),
                     "trace: event seq " << e.seq << " out of order");
@@ -756,7 +833,8 @@ class Importer {
 
 }  // namespace
 
-void append_event_line(std::string& out, const ExportedEvent& e) {
+void append_event_line(std::string& out, const TraceDoc& doc,
+                       const ExportedEvent& e) {
   out += "{\"record\":\"event\",\"seq\":";
   append_uint(out, e.seq);
   const std::string_view kind = event_kind_str(e.event.kind);
@@ -768,9 +846,9 @@ void append_event_line(std::string& out, const ExportedEvent& e) {
       out += ",\"process\":";
       append_uint(out, e.event.process.value());
       out += ",\"consumed\":";
-      append_msgs(out, e.consumed);
+      append_msgs(out, doc.consumed(e));
       out += ",\"sent\":";
-      append_msgs(out, e.sent);
+      append_msgs(out, doc.sent(e));
       break;
     case sim::Event::Kind::kCrash:
       out += ",\"process\":";
@@ -787,10 +865,10 @@ void append_event_line(std::string& out, const ExportedEvent& e) {
     case sim::Event::Kind::kDuplicate:
     case sim::Event::Kind::kRetransmit:
       // One affected message each.
-      DISCS_CHECK_MSG(e.delivered.has_value(),
+      DISCS_CHECK_MSG(e.msg < doc.messages.size(),
                       "trace: " << kind << " event without message");
       out += ",\"msg\":";
-      append_msg(out, *e.delivered);
+      append_msg(out, doc.messages[e.msg]);
       break;
   }
   out += '}';
@@ -827,7 +905,7 @@ std::string export_suffix_jsonl(const TraceDoc& doc, std::uint64_t events) {
 std::string export_jsonl(const TraceDoc& doc) {
   std::string out = export_prefix_jsonl(doc);
   for (const auto& e : doc.events) {
-    append_event_line(out, e);
+    append_event_line(out, doc, e);
     out += '\n';
   }
   out += export_suffix_jsonl(doc, doc.events.size());

@@ -25,9 +25,11 @@
 #include <array>
 #include <cstdint>
 #include <map>
-#include <optional>
+#include <ranges>
+#include <span>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "fault/plan.h"
@@ -82,15 +84,22 @@ struct ExportedMessage {
                          const ExportedMessage&) = default;
 };
 
-/// One trace record: the bare event (replayable) plus message metadata.
+/// One trace record: the bare event (replayable) plus references into its
+/// document's message table (TraceDoc::messages).  It owns no heap memory;
+/// read its messages through TraceDoc::consumed, sent and message.
 struct ExportedEvent {
+  static constexpr std::uint32_t kNoMessage = UINT32_MAX;
+
   sim::Event event;
   std::uint64_t seq = 0;
-  std::vector<ExportedMessage> consumed;       ///< kStep only
-  std::vector<ExportedMessage> sent;           ///< kStep only
-  /// kDeliver, and (v2) the affected message of kDrop/kDuplicate/
-  /// kRetransmit.
-  std::optional<ExportedMessage> delivered;
+  /// kStep only: the consumed messages are TraceDoc::refs[first, first +
+  /// consumed), and the `sent` messages follow them.
+  std::uint32_t first = 0;
+  std::uint32_t consumed = 0;
+  std::uint32_t sent = 0;
+  /// The table index of a kDeliver's message, and (v2) of the affected
+  /// message of kDrop/kDuplicate/kRetransmit; kNoMessage for the others.
+  std::uint32_t msg = kNoMessage;
 };
 
 /// A harness invocation: client `client` was handed `spec` when the
@@ -109,12 +118,40 @@ struct TraceDoc {
   proto::ClusterConfig cluster;
   std::map<ObjectId, ValueId> initial;
   std::vector<InvokeRecord> invokes;
+  /// The message table: each distinct message once, in order of first
+  /// appearance.  In the paper's model a message appears three times (sent,
+  /// delivered, consumed); the events refer to its one entry.
+  std::vector<ExportedMessage> messages;
+  /// The steps' table indices, consumed then sent, event after event.
+  std::vector<std::uint32_t> refs;
   std::vector<ExportedEvent> events;
   /// Span notes captured from the thread-local SpanLog; present only when
   /// cluster.record_spans (span records are rejected without the flag).
   std::vector<SpanNote> spans;
   hist::History history;
   std::string final_digest;
+
+ private:
+  auto entries(std::span<const std::uint32_t> indices) const {
+    return indices | std::views::transform(
+                         [this](std::uint32_t i) -> const ExportedMessage& {
+                           return messages[i];
+                         });
+  }
+
+ public:
+  /// A step's consumed and sent messages, as ranges of table entries.
+  auto consumed(const ExportedEvent& e) const {
+    return entries(std::span(refs).subspan(e.first, e.consumed));
+  }
+  auto sent(const ExportedEvent& e) const {
+    return entries(std::span(refs).subspan(e.first + e.consumed, e.sent));
+  }
+  /// The message of a deliver, drop, dup or retransmit event; nullptr for
+  /// a step, crash or restart.
+  const ExportedMessage* message(const ExportedEvent& e) const {
+    return e.msg == ExportedEvent::kNoMessage ? nullptr : &messages[e.msg];
+  }
 };
 
 /// The one ClusterConfig <-> JSON codec: the trace header's "cluster"
@@ -135,20 +172,55 @@ TraceDoc make_doc(const proto::Protocol& protocol, std::string scenario,
                   const proto::Cluster& cluster,
                   std::vector<InvokeRecord> invokes);
 
-/// The one record exporter: converts one live record (message metadata
-/// included; cause annotations when `spans`) and ORs the v1-vs-v2 schema
-/// decision into `fault` (true once any fault event was seen).  make_doc
-/// applies it to a simulator trace; obs::TraceSink (obs/trace_stream.h)
-/// applies it to each record the rt backend's frontier merge appends.  One
-/// exporter means the two backends cannot drift.
-ExportedEvent export_event_record(const sim::EventRecord& rec, bool spans,
-                                  bool& fault);
+/// The one record exporter.  add() appends a live record to `doc` as an
+/// event, and a message to doc.messages only the first time it sees it, so
+/// ExportedMessage::from (with cause annotations when `spans`) runs once
+/// per entry.  A message takes its id's latest entry when its payload
+/// pointer is that entry's: in both backends every appearance of a message
+/// (sent, delivered, dropped, duplicated, retransmitted, consumed) shares
+/// its sender's payload.  An id seen with another payload gets a new entry
+/// and is never merged.  make_doc applies the builder to a simulator trace;
+/// obs::TraceSink (obs/trace_stream.h) to each record the rt backend's
+/// frontier merge appends.  One exporter means the two backends cannot
+/// drift.
+class DocBuilder {
+ public:
+  DocBuilder(TraceDoc& doc, bool spans) : doc_(doc), spans_(spans) {}
 
-/// Appends one canonical JSONL line (no trailing newline) for an exported
-/// event to `out` — exactly the bytes export_jsonl writes for it.
-/// export_jsonl itself is built on this, so incremental and batch
-/// serialization cannot drift.
-void append_event_line(std::string& out, const ExportedEvent& e);
+  void add(const sim::EventRecord& rec);
+
+  /// True once any fault event was added: the v1-vs-v2 schema decision.
+  bool any_fault() const { return any_fault_; }
+
+  /// Empties the document's events, table and refs, and forgets every
+  /// message seen; any_fault() is kept.
+  void clear();
+
+ private:
+  std::uint32_t entry(const sim::Message& m);
+
+  TraceDoc& doc_;
+  bool spans_;
+  bool any_fault_ = false;
+  /// MsgId -> its latest entry.
+  std::unordered_map<std::uint64_t, std::uint32_t> latest_;
+  /// Per entry, its payload: compared with a later appearance's, which
+  /// holds the same payload alive when it is the same message, and never
+  /// dereferenced.
+  std::vector<const sim::Payload*> payloads_;
+};
+
+/// Appends one canonical JSONL line (no trailing newline) for an event of
+/// `doc` to `out` — exactly the bytes export_jsonl writes for it, each
+/// message in full at every appearance.  export_jsonl itself is built on
+/// this, so incremental and batch serialization cannot drift.
+void append_event_line(std::string& out, const TraceDoc& doc,
+                       const ExportedEvent& e);
+
+/// The wire name of an event kind ("step", "deliver", "drop", "dup",
+/// "retransmit", "crash", "restart"): the writer's and the reader's one
+/// table.
+std::string_view event_kind_str(sim::Event::Kind kind);
 
 /// Sorts invokes into the canonical artifact order: by (at, tx id).  The
 /// exporters apply this before serialization so equal captures are
@@ -175,7 +247,10 @@ std::string export_suffix_jsonl(const TraceDoc& doc, std::uint64_t events);
 /// Strict parser; throws CheckFailure on malformed input, an unknown schema
 /// version, a missing header or footer, or any record after the footer (a
 /// rejected record names its line).  Members may come in any order and
-/// unknown ones are skipped (docs/TRACING.md).
+/// unknown ones are skipped (docs/TRACING.md).  It fills the message table
+/// too: a message object whose bytes equal the first one read for its id
+/// takes that entry unparsed; any other is parsed, and takes its id's
+/// entry only when every field equals it.
 TraceDoc import_jsonl(std::string_view text);
 
 /// Result of re-executing an imported document on a fresh simulation.

@@ -29,26 +29,29 @@ void TraceSink::append(const sim::EventRecord& rec) {
                   "trace sink: out-of-order record (seq " << rec.seq
                                                           << ", expected "
                                                           << events_ << ")");
-  ExportedEvent e = export_event_record(rec, /*spans=*/false, any_fault_);
+  builder_.add(rec);
   if (spool_.is_open()) {
     line_.clear();
-    append_event_line(line_, e);
+    append_event_line(line_, kept_, kept_.events.back());
     line_ += '\n';
     spool_.write(line_.data(), static_cast<std::streamsize>(line_.size()));
     // Flush per record: the spool's reason to exist is that it is complete
     // up to the frontier while the run is alive (tail -f, post-mortem).
     spool_.flush();
   }
-  if (keep_) kept_.push_back(std::move(e));
+  if (!keep_) builder_.clear();
   ++events_;
 }
 
 TraceDoc TraceSink::finish(TraceDoc doc) {
   DISCS_CHECK_MSG(!finished_, "trace sink: finish called twice");
   finished_ = true;
-  doc.schema = any_fault_ ? std::string(kTraceSchemaV2)
-                          : std::string(kTraceSchema);
-  doc.events = std::move(kept_);
+  doc.schema = builder_.any_fault() ? std::string(kTraceSchemaV2)
+                                    : std::string(kTraceSchema);
+  doc.events = std::move(kept_.events);
+  doc.messages = std::move(kept_.messages);
+  doc.refs = std::move(kept_.refs);
+  builder_.clear();
   if (spool_path_.empty()) return doc;
 
   spool_.close();

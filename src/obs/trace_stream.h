@@ -2,20 +2,26 @@
 // become artifact events: kept in memory, streamed to a file, or both.
 //
 // A producer appends records one at a time, in seq order (rt's frontier
-// merge, or any single producer).  The sink exports each record exactly
-// once (obs::export_event_record) and then
+// merge, or any single producer).  The sink adds each record to its
+// document with the one record exporter (obs::DocBuilder), which adds each
+// message to the document's table the first time it sees it, and then
 //
-//   - keeps the ExportedEvent when it keeps events (the memory sink behind
-//     rt::Options::capture), and/or
+//   - keeps the event and the table when it keeps events (the memory sink
+//     behind rt::Options::capture), and/or
 //   - when it has a path, serializes the event (obs::append_event_line, into
 //     one reused line buffer) and flushes it to a side "spool" file
 //     `<path>.spool` — raw event JSONL you can tail while the run is alive
 //     (the file sink behind rt::Options::stream_path).
 //
+// A sink that only streams keeps no table across records: it forgets the
+// event and its messages once the line is spooled, so its memory does not
+// grow with the run.
+//
 // finish() completes the caller's TraceDoc: it sets the schema, moves the
-// kept events in, and for a file sink assembles the canonical artifact at
-// `path` — header + invokes (export_prefix_jsonl) + the spooled event lines
-// + history + footer (export_suffix_jsonl) — then removes the spool.
+// kept events and table in, and for a file sink assembles the canonical
+// artifact at `path` — header + invokes (export_prefix_jsonl) + the spooled
+// event lines + history + footer (export_suffix_jsonl) — then removes the
+// spool.
 //
 // The header's v1-vs-v2 schema decision is retroactive — it depends on
 // whether any fault event was ever appended — which is exactly why the
@@ -39,7 +45,8 @@ namespace discs::obs {
 
 class TraceSink {
  public:
-  /// `keep_events`: finish() returns the exported events in doc.events.
+  /// `keep_events`: finish() returns the exported events in doc.events and
+  /// their messages in doc.messages and doc.refs.
   /// Non-empty `path`: spool to `<path>.spool` as records arrive and write
   /// the artifact at `path` in finish(); throws CheckFailure if the spool
   /// cannot be created.
@@ -58,11 +65,11 @@ class TraceSink {
   /// Records appended so far == the next expected seq.
   std::uint64_t events() const { return events_; }
 
-  /// Completes `doc` — everything but its events and schema — with this
-  /// sink's events (the kept ones; none without keep_events) and its v1/v2
-  /// schema decision, writes the artifact when the sink has a path, and
-  /// returns it.  Removes the spool.  Call exactly once, after the last
-  /// append.
+  /// Completes `doc` — everything but its events, table and schema — with
+  /// this sink's events and table (the kept ones; none without keep_events)
+  /// and its v1/v2 schema decision, writes the artifact when the sink has a
+  /// path, and returns it.  Removes the spool.  Call exactly once, after
+  /// the last append.
   TraceDoc finish(TraceDoc doc);
 
  private:
@@ -71,9 +78,10 @@ class TraceSink {
   std::string spool_path_;  ///< empty for a memory-only sink
   std::ofstream spool_;
   std::string line_;  ///< the spooled line being written, reused
-  std::vector<ExportedEvent> kept_;
+  TraceDoc kept_;  ///< events, table and refs; only the last record's
+                   ///< until it is spooled, without keep_events
+  DocBuilder builder_{kept_, /*spans=*/false};
   std::uint64_t events_ = 0;
-  bool any_fault_ = false;
   bool finished_ = false;
 };
 

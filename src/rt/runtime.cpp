@@ -805,8 +805,8 @@ RunReport Engine::finalize(std::vector<SubmitterStats> stats,
   }
   doc.final_digest = os.str();
 
-  // finish() adds the kept events and the schema, and writes the streamed
-  // file when there is one.
+  // finish() adds the kept events, their message table and the schema, and
+  // writes the streamed file when there is one.
   obs::TraceDoc finished = sink.finish(std::move(doc));
   if (opts_.capture) rep.doc = std::move(finished);
   return rep;

@@ -98,10 +98,10 @@ inline CheckResult reads_valid(const History& h) {
       bool matches_object = false;
       auto init = h.initial_of(r.object);
       if (init && *init == r.value) matches_object = true;
-      for (std::size_t j = 0; j < h.size() && !matches_object; ++j) {
-        auto v = h.at(j).value_written(r.object);
-        if (v && *v == r.value) matches_object = true;
-      }
+      for (std::size_t j = 0; j < h.size() && !matches_object; ++j)
+        for (const auto& w : h.at(j).writes)
+          if (w.object == r.object && w.value == r.value)
+            matches_object = true;
       if (!matches_object)
         result.flag("wrong-object-read",
                     cat(t.describe(), " returned ", to_string(r.value),

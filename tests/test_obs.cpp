@@ -23,6 +23,8 @@
 #include "proto/common/client.h"
 #include "proto/registry.h"
 #include "sim/schedule.h"
+#include "trace_table.h"
+#include "workload/workload.h"
 
 namespace discs {
 namespace {
@@ -461,12 +463,79 @@ TEST(TraceIo, ImportDecodesStringEscapes) {
       "\"kind\":\"WriteRequest\",\"desc\":\"q\\\" b\\\\ s\\/ n\\n t\\t "
       "u\\u0001\",\"values\":[5],\"bytes\":40}]}";
   obs::TraceDoc doc = obs::import_jsonl(with_line(kStepLine, escaped));
-  ASSERT_EQ(doc.events.at(0).sent.size(), 1u);
-  EXPECT_EQ(doc.events[0].sent[0].desc, "q\" b\\ s/ n\n t\t u\x01");
+  ASSERT_EQ(doc.sent(doc.events.at(0)).size(), 1u);
+  EXPECT_EQ(doc.sent(doc.events[0])[0].desc, "q\" b\\ s/ n\n t\t u\x01");
   // The writer escapes all but '/' back.
   EXPECT_NE(obs::export_jsonl(doc).find(
                 "\"desc\":\"q\\\" b\\\\ s/ n\\n t\\t u\\u0001\""),
             std::string::npos);
+}
+
+TEST(TraceIo, ImportHoldsARepeatedMessageOnce) {
+  // The canonical artifact sends a message and delivers it in the same
+  // bytes: one entry, taken by the delivery unparsed.
+  const std::string canonical = artifact(canonical_lines());
+  obs::TraceDoc doc = obs::import_jsonl(canonical);
+  ASSERT_EQ(doc.messages.size(), 1u);
+  EXPECT_EQ(doc.refs, std::vector<std::uint32_t>{0});
+  EXPECT_EQ(doc.events[1].msg, 0u);
+  EXPECT_EQ(obs::export_jsonl(doc), canonical);
+
+  // The same message with its members reordered is parsed, equals the
+  // entry in every field, and takes it; either appearance may be the
+  // reordered one.
+  const std::string reordered_msg =
+      "{\"desc\":\"WriteRequest{T3}\",\"id\":2199023255552,\"bytes\":40,"
+      "\"dst\":0,\"values\":[5],\"src\":2,\"kind\":\"WriteRequest\"}";
+  const std::string reordered[] = {
+      with_line(kDeliverLine,
+                "{\"record\":\"event\",\"seq\":1,\"kind\":\"deliver\","
+                "\"msg\":" + reordered_msg + "}"),
+      with_line(kStepLine,
+                "{\"record\":\"event\",\"seq\":0,\"kind\":\"step\","
+                "\"process\":2,\"consumed\":[],\"sent\":[" + reordered_msg +
+                    "]}")};
+  for (const auto& bytes : reordered) {
+    doc = obs::import_jsonl(bytes);
+    EXPECT_EQ(doc.messages.size(), 1u);
+    EXPECT_EQ(obs::export_jsonl(doc), canonical);
+  }
+
+  // An id reused with other content gets an entry of its own, and each
+  // appearance keeps its own bytes.
+  std::string other = kDeliverLine;
+  other.replace(other.find("{T3}"), 4, "{T9}");
+  const std::string reused = with_line(kDeliverLine, other);
+  doc = obs::import_jsonl(reused);
+  ASSERT_EQ(doc.messages.size(), 2u);
+  EXPECT_EQ(doc.messages[0].id, doc.messages[1].id);
+  EXPECT_EQ(doc.messages[1].desc, "WriteRequest{T9}");
+  EXPECT_EQ(doc.events[1].msg, 1u);
+  EXPECT_EQ(obs::export_jsonl(doc), reused);
+}
+
+TEST(TraceIo, ImportRejectsAMalformedRepeatedMessage) {
+  // The delivery repeats the step's message, broken: it is parsed, not
+  // taken by its id, and rejected naming its line.
+  const std::string deliver = kDeliverLine;
+  const std::vector<std::pair<std::string, std::string>> broken = {
+      {std::string(deliver).replace(deliver.find(",\"bytes\":40"), 11, ""),
+       "missing field 'bytes'"},
+      {std::string(deliver).replace(deliver.find("40}}"), 4, "40}"),
+       "expected '}' at offset 157"},
+      {std::string(deliver).replace(deliver.find("[5]"), 3, "[5"),
+       "trace line 4: "}};
+  for (const auto& [line, why] : broken) {
+    SCOPED_TRACE(line);
+    try {
+      obs::import_jsonl(with_line(kDeliverLine, line));
+      ADD_FAILURE() << "accepted";
+    } catch (const CheckFailure& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("trace line 4: "), std::string::npos) << what;
+      EXPECT_NE(what.find(why), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(TraceIo, ImportAcceptsEveryV2FaultKind) {
@@ -624,6 +693,8 @@ obs::TraceDoc through_sink(const SinkInput& in, bool keep_events,
   for (const auto& rec : in.records) sink.append(rec);
   obs::TraceDoc doc = in.ref;
   doc.events.clear();
+  doc.messages.clear();
+  doc.refs.clear();
   doc.schema.clear();
   return sink.finish(std::move(doc));
 }
@@ -654,10 +725,14 @@ TEST(TraceSink, MemoryFileAndBothSinksReturnTheSameDoc) {
     // The memory sink's doc is the reference exporter's, byte for byte...
     EXPECT_EQ(obs::export_jsonl(memory), want);
     EXPECT_EQ(obs::export_jsonl(both), want);
-    // ...and a file-only sink returns the same doc minus the events it did
-    // not keep.
+    // ...and a file-only sink returns the same doc minus the events and
+    // the message table it did not keep.
     EXPECT_TRUE(file.events.empty());
+    EXPECT_TRUE(file.messages.empty());
+    EXPECT_TRUE(file.refs.empty());
     file.events = memory.events;
+    file.messages = memory.messages;
+    file.refs = memory.refs;
     EXPECT_EQ(obs::export_jsonl(file), want);
 
     // Each file is the export of that doc, and its spool is gone.
@@ -704,6 +779,42 @@ TEST(TraceSink, SinkDestroyedBeforeFinishLeavesNoSpool) {
   }
   EXPECT_FALSE(file_exists(path + ".spool"));
   EXPECT_FALSE(file_exists(path));
+}
+
+// --- The message table -----------------------------------------------------
+
+TEST(TraceTable, SimCaptureHoldsEachMessageOnce) {
+  // A wren workload with cause annotations: gossip-heavy, and every entry
+  // carries the annotations ExportedMessage::from adds.
+  auto protocol = proto::protocol_by_name("wren");
+  proto::ClusterConfig cfg;
+  cfg.num_clients = 3;
+  cfg.record_spans = true;
+  sim::Simulation sim;
+  proto::IdSource ids;
+  proto::Cluster cluster = protocol->build(sim, cfg, ids);
+  wl::WorkloadConfig wcfg;
+  wcfg.num_txs = 30;
+  wcfg.seed = 7;
+  wl::run_workload_sequential(sim, *protocol, cluster, ids, wcfg);
+  const obs::TraceDoc doc =
+      obs::make_doc(*protocol, "table", cfg, sim, cluster, {});
+  const std::vector<sim::EventRecord> records(sim.trace().records().begin(),
+                                              sim.trace().records().end());
+  test::expect_table_matches(doc, records, /*spans=*/true);
+  std::size_t appearances = doc.refs.size();
+  for (const auto& e : doc.events) appearances += doc.message(e) != nullptr;
+  EXPECT_GT(appearances, 2 * doc.messages.size());
+}
+
+TEST(TraceTable, FaultedCaptureAndSinkHoldEachMessageOnce) {
+  // A dropped message appears sent and dropped; the one builder serves
+  // make_doc and the sink alike.
+  const SinkInput in = sink_input(/*drop=*/true);
+  test::expect_table_matches(in.ref, in.records, /*spans=*/false);
+  obs::TraceSink sink(/*keep_events=*/true, "");
+  for (const auto& rec : in.records) sink.append(rec);
+  test::expect_table_matches(sink.finish({}), in.records, /*spans=*/false);
 }
 
 // --- Ring ------------------------------------------------------------------

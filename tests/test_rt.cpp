@@ -32,6 +32,7 @@
 #include "rt/mpsc.h"
 #include "rt/runtime.h"
 #include "sim/simulation.h"
+#include "trace_table.h"
 
 namespace discs {
 namespace {
@@ -277,6 +278,40 @@ TEST(RtBackend, CaptureOffStillCompletes) {
   EXPECT_EQ(rep.txs_completed, 10u);
   EXPECT_TRUE(rep.doc.events.empty());
   EXPECT_GT(rep.events, 0u);
+}
+
+TEST(RtBackend, CaptureHoldsEachMessageOnce) {
+  // The engine threads' records are gone after the run; a replay on the
+  // simulator re-creates them (the oracle test above pins that it is the
+  // same execution), and the capture's table must be what the builder
+  // makes of them.
+  auto protocol = proto::protocol_by_name("wren");
+  rt::RunReport rep = run_rt(*protocol, /*workers=*/2, /*num_txs=*/40);
+  ASSERT_FALSE(rep.timed_out);
+  ASSERT_EQ(rep.txs_incomplete, 0u);
+  const obs::TraceDoc& doc = rep.doc;
+  sim::Simulation sim;
+  proto::IdSource ids;
+  proto::Cluster cluster = protocol->build(sim, doc.cluster, ids);
+  std::size_t next_invoke = 0;
+  auto run_invokes = [&] {
+    while (next_invoke < doc.invokes.size() &&
+           doc.invokes[next_invoke].at <= sim.now()) {
+      const obs::InvokeRecord& inv = doc.invokes[next_invoke++];
+      sim.process_as<proto::ClientBase>(inv.client).invoke(inv.spec);
+    }
+  };
+  for (const auto& e : doc.events) {
+    run_invokes();
+    ASSERT_TRUE(sim.apply(e.event)) << e.event.describe();
+  }
+  EXPECT_EQ(sim.digest(), doc.final_digest);
+  const std::vector<sim::EventRecord> records(sim.trace().records().begin(),
+                                              sim.trace().records().end());
+  test::expect_table_matches(doc, records, /*spans=*/false);
+  std::size_t appearances = doc.refs.size();
+  for (const auto& e : doc.events) appearances += doc.message(e) != nullptr;
+  EXPECT_GT(appearances, 2 * doc.messages.size());
 }
 
 // --- SpanDag Table-1 re-audit over rt-captured traces ----------------------
