@@ -17,7 +17,6 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstring>
 #include <exception>
 #include <functional>
@@ -29,7 +28,6 @@
 
 #include "clock/clocks.h"
 #include "kv/store.h"
-#include "obs/phase.h"
 #include "obs/registry.h"
 #include "par/parallel.h"
 #include "proto/common/client.h"
@@ -435,42 +433,6 @@ void BM_ParallelForPooled(benchmark::State& state) {
   for (auto _ : state) par::parallel_for(kParItems, par_job, kParThreads);
 }
 
-/// `--phases`: instead of benchmarking, run each workload once with the
-/// wall-clock phase profiler on and print where host cycles go (handler /
-/// deliver / trace_record / digest / scheduler).  This is the "after"
-/// column of docs/PERFORMANCE.md's mix table; it reads nothing back into
-/// the simulation, so determinism and digests are unaffected.
-int run_phase_report() {
-  auto& prof = obs::PhaseProfile::global();
-  for (const char* name :
-       {"naivefast", "cops-snow", "wren", "eiger", "spanner"}) {
-    auto protocol = proto::protocol_by_name(name);
-    prof.reset();
-    prof.enable(true);
-    auto t0 = std::chrono::steady_clock::now();
-    sim::Simulation sim;
-    proto::IdSource ids;
-    proto::Cluster cluster = protocol->build(sim, cluster_config(), ids);
-    wl::WorkloadConfig wcfg;
-    wcfg.num_txs = 50;
-    wcfg.seed = 9;
-    auto result =
-        wl::run_workload_sequential(sim, *protocol, cluster, ids, wcfg);
-    auto t1 = std::chrono::steady_clock::now();
-    prof.enable(false);
-    auto wall = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-            .count());
-    double secs = static_cast<double>(wall) / 1e9;
-    double txps =
-        static_cast<double>(wcfg.num_txs - result.incomplete) / secs;
-    std::cout << name << ": " << sim.now() << " events, "
-              << static_cast<std::uint64_t>(txps) << " tx/s\n  "
-              << prof.str(wall) << "\n";
-  }
-  return 0;
-}
-
 /// Dynamic registration so a bad protocol name or a throwing constructor
 /// surfaces as a nonzero exit, not a silently missing benchmark.
 bool register_benchmarks(bool smoke) {
@@ -538,7 +500,6 @@ int main(int argc, char** argv) {
   std::string min_time_flag;
   for (int i = 0; i < argc; ++i) {
     std::string_view a = argv[i];
-    if (a == "--phases") return run_phase_report();
     if (a == "--smoke") {
       smoke = true;
       continue;

@@ -188,13 +188,16 @@ int cmd_export(const std::string& proto_name, const std::string& scenario,
 
 // --- spans / critpath / hist ----------------------------------------------
 
+/// The span commands need a document exported with --spans.
+bool require_spans(const std::string& path, const obs::TraceDoc& doc) {
+  if (doc.cluster.record_spans) return true;
+  std::cerr << path << ": no span annotations (re-export with --spans)\n";
+  return false;
+}
+
 int cmd_spans(const std::string& path) {
   auto doc = load_doc(path);
-  if (!doc) return 1;
-  if (!doc->cluster.record_spans) {
-    std::cerr << path << ": no span annotations (re-export with --spans)\n";
-    return 1;
-  }
+  if (!doc || !require_spans(path, *doc)) return 1;
   std::cout << doc->spans.size() << " span notes:\n";
   for (const auto& s : doc->spans) {
     std::cout << "  at=" << s.at << " "
@@ -211,7 +214,7 @@ int cmd_spans(const std::string& path) {
 
 int cmd_critpath(const std::string& path, std::optional<std::uint64_t> tx) {
   auto doc = load_doc(path);
-  if (!doc) return 1;
+  if (!doc || !require_spans(path, *doc)) return 1;
   try {
     obs::SpanDag dag(*doc);
     std::vector<obs::SpanDag::TxInfo> targets;
@@ -377,7 +380,14 @@ int cmd_inspect(const std::string& path, const InspectFilter& filter) {
 int cmd_replay(const std::string& path) {
   auto doc = load_doc(path);
   if (!doc) return 1;
-  obs::DocReplay replay = obs::replay_doc(*doc);
+  std::unique_ptr<proto::Protocol> protocol;
+  try {
+    protocol = proto::protocol_by_name(doc->protocol);
+  } catch (const CheckFailure&) {
+    std::cerr << path << ": unknown protocol: " << doc->protocol << "\n";
+    return 1;
+  }
+  obs::DocReplay replay = obs::replay_doc(*doc, *protocol);
   std::cout << "replayed " << replay.applied << "/" << doc->events.size()
             << " events\n";
   if (!replay.ok) {

@@ -12,7 +12,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "obs/phase.h"
 #include "sim/simulation.h"
 #include "util/rng.h"
 
@@ -152,10 +151,7 @@ RunStats run_fair_with(Simulation& sim,
     // Send order clusters same-destination messages, which the network's
     // income buckets turn into single-index appends.
     ids.clear();
-    {
-      obs::PhaseScope ps(obs::Phase::kScheduler);
-      adversary.deliverable(sim, within, ids);
-    }
+    adversary.deliverable(sim, within, ids);
     for (auto id : ids) {
       if (stats.events() >= budget) return stats;
       if (sim.deliver(id)) {
@@ -228,10 +224,7 @@ RunStats run_random(Simulation& sim,
   constexpr bool kIncremental =
       std::is_same_v<std::decay_t<Adversary>, NoFaults>;
   std::vector<MsgId> deliverable;
-  if constexpr (kIncremental) {
-    obs::PhaseScope ps(obs::Phase::kScheduler);
-    adversary.deliverable(sim, within, deliverable);
-  }
+  if constexpr (kIncremental) adversary.deliverable(sim, within, deliverable);
 
   std::size_t idle_rounds = 0;
   std::size_t dead_iters = 0;  // consecutive picks of a crashed process
@@ -242,7 +235,6 @@ RunStats run_random(Simulation& sim,
     }
     adversary.tick(sim);
     if constexpr (!kIncremental) {
-      obs::PhaseScope ps(obs::Phase::kScheduler);
       deliverable.clear();
       adversary.deliverable(sim, within, deliverable);
     }
@@ -279,7 +271,6 @@ RunStats run_random(Simulation& sim,
     if constexpr (kIncremental) {
       // A step only appends to the in-flight list, so its sends are the
       // last `sent` entries.
-      obs::PhaseScope ps(obs::Phase::kScheduler);
       const FlightList& fl = sim.network().in_flight();
       for (auto it = std::prev(fl.end(), static_cast<std::ptrdiff_t>(sent));
            it != fl.end(); ++it)

@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "obs/phase.h"
 #include "obs/registry.h"
 #include "util/fmt.h"
 
@@ -97,10 +96,7 @@ bool Simulation::step(ProcessId p) {
   // drained inbox moves on into the trace record below, so neither side of
   // the step pays a fresh allocation in steady state.
   StepContext ctx(p, now_, std::move(outgoing_scratch_));
-  {
-    obs::PhaseScope ps(obs::Phase::kHandler);
-    proc.on_step(ctx, inbox);
-  }
+  proc.on_step(ctx, inbox);
 
   const bool retained = trace_.retained();
   EventRecord rec;
@@ -125,7 +121,6 @@ bool Simulation::step(ProcessId p) {
 
   counter_steps() += 1;
   if (retained) {
-    obs::PhaseScope ps(obs::Phase::kTraceRecord);
     trace_.record(std::move(rec));
   } else {
     trace_.record_unretained();
@@ -137,12 +132,8 @@ bool Simulation::step(ProcessId p) {
 bool Simulation::deliver(MsgId id) {
   // One lookup: find, check the crash guard, move into the income buffer.
   bool vetoed = false;
-  const Message* delivered = nullptr;
-  {
-    obs::PhaseScope ps(obs::Phase::kDeliver);
-    delivered = net_.deliver_if(
-        id, [this](ProcessId dst) { return !crashed_[dst.value()]; }, vetoed);
-  }
+  const Message* delivered = net_.deliver_if(
+      id, [this](ProcessId dst) { return !crashed_[dst.value()]; }, vetoed);
   if (delivered == nullptr) return false;
 
   counter_deliveries() += 1;
@@ -150,7 +141,6 @@ bool Simulation::deliver(MsgId id) {
     EventRecord rec;
     rec.event = Event::deliver(id);
     rec.delivered = *delivered;
-    obs::PhaseScope ps(obs::Phase::kTraceRecord);
     trace_.record(std::move(rec));
   } else {
     trace_.record_unretained();
@@ -279,10 +269,8 @@ std::size_t Simulation::deliver_all() {
 
 const std::string& Simulation::memoized_digest(std::size_t i) const {
   auto& slot = digest_memo_[i];
-  if (!slot) {
-    obs::PhaseScope ps(obs::Phase::kDigest);
+  if (!slot)
     slot = std::make_shared<const std::string>(procs_[i]->state_digest());
-  }
   return *slot;
 }
 

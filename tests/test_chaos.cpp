@@ -53,11 +53,13 @@ TEST(RandomPlan, DeterministicAndInsideTheFairnessEnvelope) {
       // The envelope: drops are retransmitted, holds are bounded, crashed
       // servers restart.  Violations found inside it are robustness bugs,
       // not Theorem 1's legitimate starvation.
-      if (r.kind == FaultRule::Kind::kDrop)
+      if (r.kind == FaultRule::Kind::kDrop) {
         EXPECT_GT(r.retransmit_after, 0u);
+      }
       if (r.kind == FaultRule::Kind::kHold ||
-          r.kind == FaultRule::Kind::kPartition)
+          r.kind == FaultRule::Kind::kPartition) {
         EXPECT_NE(r.to, fault::kForever);
+      }
       if (r.kind == FaultRule::Kind::kCrash) {
         EXPECT_NE(r.restart_at, fault::kForever);
         EXPECT_LT(r.process.value(),

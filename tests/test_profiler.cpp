@@ -211,7 +211,9 @@ TEST(SpanFixture, CriticalPathFollowsTheLateReply) {
   EXPECT_EQ(cp.segments.back().to, cp.end);
   std::uint64_t sum = 0;
   for (std::size_t i = 0; i < cp.segments.size(); ++i) {
-    if (i > 0) EXPECT_EQ(cp.segments[i].from, cp.segments[i - 1].to);
+    if (i > 0) {
+      EXPECT_EQ(cp.segments[i].from, cp.segments[i - 1].to);
+    }
     sum += cp.segments[i].length();
   }
   EXPECT_EQ(sum, cp.latency());
